@@ -40,7 +40,6 @@ use crate::metrics::MetricsDatabase;
 use benchpark_ramble::{ExperimentResult, ExperimentStatus, FomValue};
 use benchpark_telemetry::{TelemetryReport, TelemetrySink};
 use benchpark_yamlite::{emit_json, parse_json, Map, Value};
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The ledger schema version this build writes.
@@ -207,67 +206,52 @@ impl RunRecord {
 
     /// Parses one ledger line. Fails on malformed JSON, a missing required
     /// field, a malformed field value, or an unknown schema version.
+    ///
+    /// Every string is moved out of the parsed tree rather than copied.
     pub fn parse_line(line: &str) -> Result<RunRecord, String> {
-        let doc = parse_json(line)?;
+        let mut doc = into_map(parse_json(line)?);
         let schema = doc
-            .get("schema")
-            .and_then(Value::as_int)
+            .remove("schema")
+            .and_then(|v| v.as_int())
             .ok_or("record lacks `schema`")?;
         if !(LEDGER_SCHEMA_MIN..=LEDGER_SCHEMA).contains(&schema) {
             return Err(format!("unknown ledger schema version {schema}"));
         }
-        let text = |key: &str| -> Result<String, String> {
-            doc.get(key)
-                .and_then(Value::as_str)
-                .map(String::from)
-                .ok_or_else(|| format!("record lacks `{key}`"))
-        };
         let mut results = Vec::new();
-        for item in doc
-            .get("results")
-            .and_then(Value::as_seq)
-            .ok_or("record lacks `results`")?
-        {
+        for item in take_seq(&mut doc, "results").ok_or("record lacks `results`")? {
             results.push(result_from_value(item)?);
         }
         let mut fingerprints = Vec::new();
-        if let Some(map) = doc.get("fingerprints").and_then(Value::as_map) {
-            for (experiment, fingerprint) in map.iter() {
-                let fingerprint = fingerprint
-                    .as_str()
-                    .ok_or("fingerprint must be a string")?
-                    .to_string();
-                fingerprints.push((experiment.clone(), fingerprint));
-            }
+        for (experiment, fingerprint) in take_map(&mut doc, "fingerprints").unwrap_or_default() {
+            let Value::Str(fingerprint) = fingerprint else {
+                return Err("fingerprint must be a string".to_string());
+            };
+            fingerprints.push((experiment, fingerprint));
         }
         let mut counters = Vec::new();
         let mut observations = Vec::new();
-        if let Some(telemetry) = doc.get("telemetry") {
-            if let Some(map) = telemetry.get("counters").and_then(Value::as_map) {
-                for (name, total) in map.iter() {
-                    let total = total.as_int().ok_or("counter total must be an integer")?;
-                    // a negative total is corruption, not data — reject the
-                    // record (the corrupt-line skip path handles it) rather
-                    // than clamp it into a valid-looking history
-                    if total < 0 {
-                        return Err(format!("counter `{name}` total {total} is negative"));
-                    }
-                    counters.push((name.clone(), total as u64));
-                }
+        let mut telemetry = doc.remove("telemetry").map(into_map).unwrap_or_default();
+        for (name, total) in take_map(&mut telemetry, "counters").unwrap_or_default() {
+            let total = total.as_int().ok_or("counter total must be an integer")?;
+            // a negative total is corruption, not data — reject the record
+            // (the corrupt-line skip path handles it) rather than clamp it
+            // into a valid-looking history
+            if total < 0 {
+                return Err(format!("counter `{name}` total {total} is negative"));
             }
-            if let Some(map) = telemetry.get("observations").and_then(Value::as_map) {
-                for (name, mean) in map.iter() {
-                    let mean = mean.as_float().ok_or("observation mean must be numeric")?;
-                    observations.push((name.clone(), mean));
-                }
-            }
+            counters.push((name, total as u64));
+        }
+        for (name, mean) in take_map(&mut telemetry, "observations").unwrap_or_default() {
+            let mean = mean.as_float().ok_or("observation mean must be numeric")?;
+            observations.push((name, mean));
         }
         let mut request = None;
-        if let Some(map) = doc.get("request").and_then(Value::as_map) {
-            let tick = |key: &str| -> Result<u64, String> {
+        if let Some(mut map) = take_map(&mut doc, "request") {
+            let tenant = take_text(&mut map, "tenant", "request trace")?;
+            let mut tick = |key: &str| -> Result<u64, String> {
                 let value = map
-                    .get(key)
-                    .and_then(Value::as_int)
+                    .remove(key)
+                    .and_then(|v| v.as_int())
                     .ok_or_else(|| format!("request trace lacks `{key}`"))?;
                 if value < 0 {
                     return Err(format!("request trace `{key}` {value} is negative"));
@@ -275,11 +259,7 @@ impl RunRecord {
                 Ok(value as u64)
             };
             request = Some(RequestTrace {
-                tenant: map
-                    .get("tenant")
-                    .and_then(Value::as_str)
-                    .ok_or("request trace lacks `tenant`")?
-                    .to_string(),
+                tenant,
                 request_id: tick("request_id")?,
                 submit_tick: tick("submit_tick")?,
                 queue_wait_ticks: tick("queue_wait_ticks")?,
@@ -289,18 +269,18 @@ impl RunRecord {
             });
         }
         let sequence = doc
-            .get("sequence")
-            .and_then(Value::as_int)
+            .remove("sequence")
+            .and_then(|v| v.as_int())
             .ok_or("record lacks `sequence`")?;
         if sequence < 0 {
             return Err(format!("sequence {sequence} is negative"));
         }
         Ok(RunRecord {
             sequence: sequence as u64,
-            system: text("system")?,
-            benchmark: text("benchmark")?,
-            variant: text("variant")?,
-            manifest: text("manifest")?,
+            system: take_text(&mut doc, "system", "record")?,
+            benchmark: take_text(&mut doc, "benchmark", "record")?,
+            variant: take_text(&mut doc, "variant", "record")?,
+            manifest: take_text(&mut doc, "manifest", "record")?,
             results,
             fingerprints,
             counters,
@@ -382,91 +362,118 @@ fn result_to_value(result: &ExperimentResult) -> Value {
     Value::Map(rec)
 }
 
-fn result_from_value(value: &Value) -> Result<ExperimentResult, String> {
-    let text = |key: &str| -> Result<String, String> {
-        value
-            .get(key)
-            .and_then(Value::as_str)
-            .map(String::from)
-            .ok_or_else(|| format!("experiment result lacks `{key}`"))
-    };
-    let status = match text("status")?.as_str() {
+/// The entries of a parsed JSON object; anything else has none, so every
+/// lookup in it reports the field as missing.
+fn into_map(value: Value) -> Map {
+    match value {
+        Value::Map(map) => map,
+        _ => Map::new(),
+    }
+}
+
+/// Moves a string field out of a parsed object, or names it as missing
+/// from `what`.
+fn take_text(map: &mut Map, key: &str, what: &str) -> Result<String, String> {
+    match map.remove(key) {
+        Some(Value::Str(text)) => Ok(text),
+        _ => Err(format!("{what} lacks `{key}`")),
+    }
+}
+
+/// Moves an array field out of a parsed object.
+fn take_seq(map: &mut Map, key: &str) -> Option<Vec<Value>> {
+    match map.remove(key)? {
+        Value::Seq(items) => Some(items),
+        _ => None,
+    }
+}
+
+/// Moves an object field out of a parsed object.
+fn take_map(map: &mut Map, key: &str) -> Option<Map> {
+    match map.remove(key)? {
+        Value::Map(entries) => Some(entries),
+        _ => None,
+    }
+}
+
+/// A two-element array, moved out.
+fn into_pair(value: Value) -> Option<[Value; 2]> {
+    match value {
+        Value::Seq(items) => items.try_into().ok(),
+        _ => None,
+    }
+}
+
+/// [`Value::scalar_string`] by value: a string moves out, other scalars
+/// render, and containers become empty.
+fn into_scalar_string(value: Value) -> String {
+    match value {
+        Value::Str(text) => text,
+        other => other.scalar_string().unwrap_or_default(),
+    }
+}
+
+fn result_from_value(value: Value) -> Result<ExperimentResult, String> {
+    const RESULT: &str = "experiment result";
+    let mut map = into_map(value);
+    let status = match take_text(&mut map, "status", RESULT)?.as_str() {
         "Success" => ExperimentStatus::Success,
         "Failed" => ExperimentStatus::Failed,
         "JobError" => ExperimentStatus::JobError,
         other => return Err(format!("unknown experiment status `{other}`")),
     };
     let mut foms = Vec::new();
-    for item in value
-        .get("foms")
-        .and_then(Value::as_seq)
-        .ok_or("experiment result lacks `foms`")?
-    {
-        let field = |key: &str| -> Result<String, String> {
-            item.get(key)
-                .and_then(Value::as_str)
-                .map(String::from)
-                .ok_or_else(|| format!("fom lacks `{key}`"))
-        };
-        let mut context = BTreeMap::new();
-        if let Some(map) = item.get("context").and_then(Value::as_map) {
-            for (k, v) in map.iter() {
-                context.insert(k.clone(), v.scalar_string().unwrap_or_default());
-            }
-        }
+    for item in take_seq(&mut map, "foms").ok_or("experiment result lacks `foms`")? {
+        let mut fom = into_map(item);
+        let context = take_map(&mut fom, "context")
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(k, v)| (k, into_scalar_string(v)))
+            .collect();
         foms.push(FomValue {
-            name: field("name")?,
-            value: field("value")?,
-            units: field("units")?,
+            name: take_text(&mut fom, "name", "fom")?,
+            value: take_text(&mut fom, "value", "fom")?,
+            units: take_text(&mut fom, "units", "fom")?,
             context,
         });
     }
     let mut criteria = Vec::new();
-    if let Some(items) = value.get("criteria").and_then(Value::as_seq) {
-        for pair in items {
-            let pair = pair.as_seq().ok_or("criterion must be a [name, ok] pair")?;
-            match pair {
-                [Value::Str(name), Value::Bool(ok)] => criteria.push((name.clone(), *ok)),
-                _ => return Err("criterion must be a [name, ok] pair".to_string()),
-            }
+    for pair in take_seq(&mut map, "criteria").unwrap_or_default() {
+        match into_pair(pair) {
+            Some([Value::Str(name), Value::Bool(ok)]) => criteria.push((name, ok)),
+            _ => return Err("criterion must be a [name, ok] pair".to_string()),
         }
     }
-    let mut variables = BTreeMap::new();
-    if let Some(map) = value.get("variables").and_then(Value::as_map) {
-        for (k, v) in map.iter() {
-            variables.insert(k.clone(), v.scalar_string().unwrap_or_default());
-        }
-    }
+    let variables = take_map(&mut map, "variables")
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(k, v)| (k, into_scalar_string(v)))
+        .collect();
     let mut profile = Vec::new();
-    if let Some(items) = value.get("profile").and_then(Value::as_seq) {
-        for pair in items {
-            let pair = pair
-                .as_seq()
-                .ok_or("profile entry must be [name, seconds]")?;
-            match pair {
-                [Value::Str(name), seconds] => profile.push((
-                    name.clone(),
-                    seconds
-                        .as_float()
-                        .ok_or("profile seconds must be numeric")?,
-                )),
-                _ => return Err("profile entry must be [name, seconds]".to_string()),
-            }
+    for pair in take_seq(&mut map, "profile").unwrap_or_default() {
+        match into_pair(pair) {
+            Some([Value::Str(name), seconds]) => profile.push((
+                name,
+                seconds
+                    .as_float()
+                    .ok_or("profile seconds must be numeric")?,
+            )),
+            _ => return Err("profile entry must be [name, seconds]".to_string()),
         }
     }
     Ok(ExperimentResult {
-        experiment: text("experiment")?,
-        application: text("application")?,
-        workload: text("workload")?,
+        experiment: take_text(&mut map, "experiment", RESULT)?,
+        application: take_text(&mut map, "application", RESULT)?,
+        workload: take_text(&mut map, "workload", RESULT)?,
         status,
         foms,
         criteria,
         variables,
         profile,
         // absent in schema-1 records: those were all freshly measured
-        cached: value
-            .get("cached")
-            .and_then(Value::as_bool)
+        cached: map
+            .remove("cached")
+            .and_then(|v| v.as_bool())
             .unwrap_or(false),
     })
 }

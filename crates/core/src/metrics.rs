@@ -74,6 +74,12 @@ impl MetricsDatabase {
         self.inner.read().records.clone()
     }
 
+    /// Runs `f` over the stored records, borrowed under the read lock: the
+    /// copy-free read path of [`crate::regression`].
+    pub(crate) fn with_records<R>(&self, f: impl FnOnce(&[StoredResult]) -> R) -> R {
+        f(&self.inner.read().records)
+    }
+
     /// Number of stored results.
     pub fn len(&self) -> usize {
         self.inner.read().records.len()

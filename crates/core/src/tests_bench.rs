@@ -260,7 +260,7 @@ fn bench_units_directions() {
 // ---------------------------------------------------------------------------
 
 /// A uniformly 2× slower machine flags everything absolutely but nothing
-/// calibrated — the shift cancels against the suite's own geometric mean,
+/// calibrated — the shift cancels against the suite's own median ratio,
 /// and the speed factor reports it instead.
 #[test]
 fn calibration_cancels_uniform_machine_shifts() {
@@ -322,9 +322,123 @@ fn calibration_still_flags_a_relative_regression() {
     for v in calibrated.iter().filter(|v| v.name != "a.one") {
         assert!(!v.regressed, "{} paid for the basis shift", v.name);
     }
-    // the factor reflects only the outlier's pull on the geometric mean
+    // the median ratio ignores the outlier: the machine did not change
     let factor = calibration_speed_factor(&[&old, &latest]).unwrap();
-    assert!(factor < 1.0 && factor > 0.8, "got {factor}");
+    assert_eq!(factor, 1.0);
+}
+
+/// The committed trajectory, oldest first: the baseline CI's perf gate
+/// reads.
+fn committed_trajectory() -> Vec<BenchReport> {
+    [
+        include_str!("../../../BENCH_2026-08-08.json"),
+        include_str!("../../../BENCH_2026-08-08b.json"),
+        include_str!("../../../BENCH_2026-08-08c.json"),
+        include_str!("../../../BENCH_2026-08-08d.json"),
+        include_str!("../../../BENCH_2026-08-08e.json"),
+    ]
+    .iter()
+    .map(|text| BenchReport::parse(text).expect("committed report parses"))
+    .collect()
+}
+
+/// The latest committed report with each named bench's median scaled.
+fn rescaled_latest(trajectory: &[BenchReport], scale: &[(&str, f64)]) -> BenchReport {
+    let mut latest = trajectory.last().expect("non-empty trajectory").clone();
+    for record in &mut latest.results {
+        if let Some((_, factor)) = scale.iter().find(|(name, _)| *name == record.name) {
+            record.median_ns *= factor;
+        }
+    }
+    latest
+}
+
+/// Gates `latest` against the committed trajectory, calibrated.
+fn gate(trajectory: &[BenchReport], latest: &BenchReport) -> Vec<crate::BenchComparison> {
+    let mut history: Vec<&BenchReport> = trajectory.iter().collect();
+    history.push(latest);
+    compare_bench_reports_calibrated(&history, 0.10)
+}
+
+fn flagged(
+    verdicts: &[crate::BenchComparison],
+    pick: fn(&crate::BenchComparison) -> bool,
+) -> Vec<&str> {
+    verdicts
+        .iter()
+        .filter(|v| pick(v))
+        .map(|v| v.name.as_str())
+        .collect()
+}
+
+/// Two ledger benches getting much faster is a local speed-up, not a faster
+/// machine: the median ratio over the shared benches stays put, so the
+/// untouched benches are not flagged as slower and the two count as
+/// improved. (A geometric-mean basis moved with them and flagged 11 of the
+/// 18 untouched benches.)
+#[test]
+fn calibration_reads_a_local_speedup_as_local() {
+    let trajectory = committed_trajectory();
+    let unchanged = rescaled_latest(&trajectory, &[]);
+    assert!(flagged(&gate(&trajectory, &unchanged), |v| v.regressed).is_empty());
+
+    let faster = rescaled_latest(
+        &trajectory,
+        &[("ledger.regress.10k", 0.31), ("ledger.replay.10k", 0.88)],
+    );
+    let verdicts = gate(&trajectory, &faster);
+    assert_eq!(verdicts.len(), 18);
+    assert!(
+        flagged(&verdicts, |v| v.regressed).is_empty(),
+        "a local speed-up flagged: {:?}",
+        flagged(&verdicts, |v| v.regressed)
+    );
+    assert_eq!(
+        flagged(&verdicts, |v| v.improved),
+        ["ledger.regress.10k", "ledger.replay.10k"]
+    );
+}
+
+/// A uniform 1.5× slowdown of the latest committed report still cancels:
+/// nothing is flagged, and the speed factor carries the shift.
+#[test]
+fn calibration_cancels_a_uniform_shift_on_the_trajectory() {
+    let trajectory = committed_trajectory();
+    let unchanged = rescaled_latest(&trajectory, &[]);
+    let mut slower = unchanged.clone();
+    for record in &mut slower.results {
+        record.median_ns *= 1.5;
+    }
+    let verdicts = gate(&trajectory, &slower);
+    assert!(flagged(&verdicts, |v| v.regressed).is_empty());
+    for (shifted, plain) in verdicts.iter().zip(gate(&trajectory, &unchanged)) {
+        assert!(
+            (shifted.change - plain.change).abs() < 1e-9,
+            "{}: {} vs {}",
+            shifted.name,
+            shifted.change,
+            plain.change
+        );
+    }
+    let speed = |latest: &BenchReport| {
+        let mut history: Vec<&BenchReport> = trajectory.iter().collect();
+        history.push(latest);
+        calibration_speed_factor(&history).unwrap()
+    };
+    let ratio = speed(&slower) / speed(&unchanged);
+    assert!((ratio - 1.0 / 1.5).abs() < 1e-9, "got {ratio}");
+}
+
+/// One bench running 2× slower against the committed trajectory is still
+/// flagged, and alone.
+#[test]
+fn calibration_flags_one_doubled_bench_on_the_trajectory() {
+    let trajectory = committed_trajectory();
+    let doubled = rescaled_latest(&trajectory, &[("json.parse.ledger_line", 2.0)]);
+    assert_eq!(
+        flagged(&gate(&trajectory, &doubled), |v| v.regressed),
+        ["json.parse.ledger_line"]
+    );
 }
 
 /// With fewer than two shared benches there is no basis to calibrate

@@ -91,6 +91,16 @@ impl Map {
     }
 }
 
+impl IntoIterator for Map {
+    type Item = (String, Value);
+    type IntoIter = std::vec::IntoIter<(String, Value)>;
+
+    /// Moves the `(key, value)` pairs out in insertion order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.into_iter()
+    }
+}
+
 impl FromIterator<(String, Value)> for Map {
     fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
         let mut map = Map::new();

@@ -227,7 +227,7 @@ fn cmd_regress_bench(files: &[&String], threshold: f64, absolute: bool) -> Resul
     if !absolute {
         match calibration_speed_factor(&refs) {
             Some(factor) => println!(
-                "machine speed vs baseline: {factor:.2}x (geometric mean over shared benches; \
+                "machine speed vs baseline: {factor:.2}x (median per-bench ratio over shared benches; \
                  uniform shifts are calibrated out — pass --absolute to compare raw numbers)"
             ),
             None => println!(

@@ -128,10 +128,10 @@ options:
   --bench           (regress) compare BENCH_*.json reports (chronological
                     order; the last file is gated against the earlier ones)
                     instead of a FOM ledger. Reports are speed-calibrated:
-                    each is normalized by its geometric-mean median over
-                    the shared benches, so a uniformly slower machine does
-                    not flag everything — only benches that moved relative
-                    to the rest of the suite
+                    each is rescaled by its median per-bench ratio to the
+                    latest report over the shared benches, so a uniformly
+                    slower machine does not flag everything — only benches
+                    that moved relative to the rest of the suite
   --absolute        (regress --bench) skip speed calibration and compare
                     raw medians (same-machine A/B runs)
   --quick           (bench) 3 timed samples instead of 7 (same workload
