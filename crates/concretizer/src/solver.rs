@@ -48,6 +48,10 @@ pub struct Concretizer<'a> {
 pub struct SolveTrace {
     /// Worklist rounds taken to reach the propagation fixpoint.
     pub rounds: usize,
+    /// Worklist visits: one per node stepped, across all rounds.
+    pub steps: usize,
+    /// Nodes whose choice points were finalized.
+    pub finalized: usize,
     /// One entry per resolved virtual, in resolution order.
     pub providers: Vec<ProviderChoice>,
 }
@@ -214,6 +218,13 @@ impl SolveSession<'_, '_> {
         &self.base
     }
 
+    /// The propagation effort of the latest edit (of the initial solve
+    /// before the first edit): a deterministic measure of how much of the
+    /// graph an edit revisited.
+    pub fn trace(&self) -> &SolveTrace {
+        &self.solve.trace
+    }
+
     /// Re-solves with one additional version constraint on `package`,
     /// re-propagating only from the edit's frontier. The session state is
     /// rewound afterwards, so edits are independent, not cumulative.
@@ -229,6 +240,7 @@ impl SolveSession<'_, '_> {
         }
         let mut edit = Spec::named(package);
         edit.versions = constraint.clone();
+        self.solve.trace = SolveTrace::default();
         let frontier_nodes = self.solve.nodes.clone();
         let result = self.solve_edit(package, &edit);
         // rewind to the frontier for the next edit
@@ -948,6 +960,7 @@ impl<'a, 'b> Solve<'a, 'b> {
                 };
                 let Some(key) = next else { break };
                 self.dirty.remove(&key);
+                self.trace.steps += 1;
                 self.step(&key)?;
                 cursor = Some(key);
             }
@@ -1204,6 +1217,7 @@ impl<'a, 'b> Solve<'a, 'b> {
         if self.nodes[key].origin == Origin::Reused {
             return Ok(());
         }
+        self.trace.finalized += 1;
         let repo: &Repo = self.cz.repo;
         let pkg = repo.get(key).expect("nodes have recipes");
 

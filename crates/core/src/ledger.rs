@@ -23,7 +23,10 @@
 //! * **Corruption-tolerant** — a truncated or garbled line (the process
 //!   died mid-append, a careless merge) is skipped and counted under the
 //!   `obs.ledger.skipped` telemetry counter; the surrounding history stays
-//!   loadable.
+//!   loadable. That holds for a tear inside a multi-byte character (lines
+//!   are split as bytes, and one that is not UTF-8 is corrupt), for a line
+//!   nested deeper than [`benchpark_yamlite::MAX_JSON_DEPTH`], and for a
+//!   record that names a field twice in one object.
 //! * **Versioned** — each record carries `schema`; records with an
 //!   unrecognized version are skipped like corrupt lines rather than
 //!   misread. This build writes schema 3 (which adds the optional
@@ -39,7 +42,8 @@
 use crate::metrics::MetricsDatabase;
 use benchpark_ramble::{ExperimentResult, ExperimentStatus, FomValue};
 use benchpark_telemetry::{TelemetryReport, TelemetrySink};
-use benchpark_yamlite::{emit_json, parse_json, Map, Value};
+use benchpark_yamlite::{emit_json, JsonReader, Map, Token, Value};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The ledger schema version this build writes.
@@ -205,83 +209,82 @@ impl RunRecord {
     }
 
     /// Parses one ledger line. Fails on malformed JSON, a missing required
-    /// field, a malformed field value, or an unknown schema version.
+    /// field, a malformed field value, a field named twice in one object,
+    /// or an unknown schema version.
     ///
-    /// Every string is moved out of the parsed tree rather than copied.
+    /// The record is decoded straight from the line's tokens in file order:
+    /// no document tree is built, and each string is copied once, into the
+    /// record. Keys the schema does not define are skipped once their
+    /// values are checked for syntax.
     pub fn parse_line(line: &str) -> Result<RunRecord, String> {
-        let mut doc = into_map(parse_json(line)?);
-        let schema = doc
-            .remove("schema")
-            .and_then(|v| v.as_int())
-            .ok_or("record lacks `schema`")?;
-        if !(LEDGER_SCHEMA_MIN..=LEDGER_SCHEMA).contains(&schema) {
-            return Err(format!("unknown ledger schema version {schema}"));
+        let mut r = JsonReader::new(line);
+        let first = r.next_token()?;
+        if first != Token::ObjectStart {
+            // a line that is not an object lacks every field, the schema first
+            r.skip(&first)?;
+            r.finish()?;
+            return Err("record lacks `schema`".to_string());
         }
-        let mut results = Vec::new();
-        for item in take_seq(&mut doc, "results").ok_or("record lacks `results`")? {
-            results.push(result_from_value(item)?);
-        }
+        let mut has_schema = false;
+        let (mut sequence, mut results) = (None, None);
+        let (mut system, mut benchmark, mut variant, mut manifest) = (None, None, None, None);
         let mut fingerprints = Vec::new();
-        for (experiment, fingerprint) in take_map(&mut doc, "fingerprints").unwrap_or_default() {
-            let Value::Str(fingerprint) = fingerprint else {
-                return Err("fingerprint must be a string".to_string());
-            };
-            fingerprints.push((experiment, fingerprint));
-        }
-        let mut counters = Vec::new();
-        let mut observations = Vec::new();
-        let mut telemetry = doc.remove("telemetry").map(into_map).unwrap_or_default();
-        for (name, total) in take_map(&mut telemetry, "counters").unwrap_or_default() {
-            let total = total.as_int().ok_or("counter total must be an integer")?;
-            // a negative total is corruption, not data — reject the record
-            // (the corrupt-line skip path handles it) rather than clamp it
-            // into a valid-looking history
-            if total < 0 {
-                return Err(format!("counter `{name}` total {total} is negative"));
-            }
-            counters.push((name, total as u64));
-        }
-        for (name, mean) in take_map(&mut telemetry, "observations").unwrap_or_default() {
-            let mean = mean.as_float().ok_or("observation mean must be numeric")?;
-            observations.push((name, mean));
-        }
+        let (mut counters, mut observations) = (Vec::new(), Vec::new());
         let mut request = None;
-        if let Some(mut map) = take_map(&mut doc, "request") {
-            let tenant = take_text(&mut map, "tenant", "request trace")?;
-            let mut tick = |key: &str| -> Result<u64, String> {
-                let value = map
-                    .remove(key)
-                    .and_then(|v| v.as_int())
-                    .ok_or_else(|| format!("request trace lacks `{key}`"))?;
-                if value < 0 {
-                    return Err(format!("request trace `{key}` {value} is negative"));
+        let mut seen = 0;
+        while let Some(key) = next_field(&mut r, RECORD_FIELDS, &mut seen)? {
+            match key {
+                "schema" => {
+                    let version = int(r.next_token()?).ok_or("record lacks `schema`")?;
+                    if !(LEDGER_SCHEMA_MIN..=LEDGER_SCHEMA).contains(&version) {
+                        return Err(format!("unknown ledger schema version {version}"));
+                    }
+                    has_schema = true;
                 }
-                Ok(value as u64)
-            };
-            request = Some(RequestTrace {
-                tenant,
-                request_id: tick("request_id")?,
-                submit_tick: tick("submit_tick")?,
-                queue_wait_ticks: tick("queue_wait_ticks")?,
-                schedule_ticks: tick("schedule_ticks")?,
-                execute_ticks: tick("execute_ticks")?,
-                commit_ticks: tick("commit_ticks")?,
-            });
+                "sequence" => {
+                    let value = int(r.next_token()?).ok_or("record lacks `sequence`")?;
+                    if value < 0 {
+                        return Err(format!("sequence {value} is negative"));
+                    }
+                    sequence = Some(value as u64);
+                }
+                "system" => system = Some(text(&mut r, "record lacks `system`")?),
+                "benchmark" => benchmark = Some(text(&mut r, "record lacks `benchmark`")?),
+                "variant" => variant = Some(text(&mut r, "record lacks `variant`")?),
+                "manifest" => manifest = Some(text(&mut r, "record lacks `manifest`")?),
+                "request" => request = read_request(&mut r)?,
+                "results" => {
+                    if r.next_token()? != Token::ArrayStart {
+                        return Err("record lacks `results`".to_string());
+                    }
+                    let mut items = Vec::new();
+                    while let Some(first) = element(&mut r)? {
+                        items.push(read_result(&mut r, first)?);
+                    }
+                    results = Some(items);
+                }
+                "fingerprints" => {
+                    fingerprints = entries(&mut r, |_, _, value| match value {
+                        Token::Str(fingerprint) => Ok(fingerprint.into_owned()),
+                        _ => Err("fingerprint must be a string".to_string()),
+                    })?;
+                }
+                "telemetry" => read_telemetry(&mut r, &mut counters, &mut observations)?,
+                _ => unreachable!("every name in RECORD_FIELDS has an arm"),
+            }
         }
-        let sequence = doc
-            .remove("sequence")
-            .and_then(|v| v.as_int())
-            .ok_or("record lacks `sequence`")?;
-        if sequence < 0 {
-            return Err(format!("sequence {sequence} is negative"));
+        r.finish()?;
+        if !has_schema {
+            return Err("record lacks `schema`".to_string());
         }
+        // missing fields are named in the order the ledger always used
         Ok(RunRecord {
-            sequence: sequence as u64,
-            system: take_text(&mut doc, "system", "record")?,
-            benchmark: take_text(&mut doc, "benchmark", "record")?,
-            variant: take_text(&mut doc, "variant", "record")?,
-            manifest: take_text(&mut doc, "manifest", "record")?,
-            results,
+            results: results.ok_or("record lacks `results`")?,
+            sequence: sequence.ok_or("record lacks `sequence`")?,
+            system: system.ok_or("record lacks `system`")?,
+            benchmark: benchmark.ok_or("record lacks `benchmark`")?,
+            variant: variant.ok_or("record lacks `variant`")?,
+            manifest: manifest.ok_or("record lacks `manifest`")?,
             fingerprints,
             counters,
             observations,
@@ -362,119 +365,386 @@ fn result_to_value(result: &ExperimentResult) -> Value {
     Value::Map(rec)
 }
 
-/// The entries of a parsed JSON object; anything else has none, so every
-/// lookup in it reports the field as missing.
-fn into_map(value: Value) -> Map {
-    match value {
-        Value::Map(map) => map,
-        _ => Map::new(),
+// The record decoder's field lists: the keys each object of a record
+// defines. Other keys are skipped; one of these named twice in the same
+// object rejects the line.
+const RECORD_FIELDS: &[&str] = &[
+    "schema",
+    "sequence",
+    "system",
+    "benchmark",
+    "variant",
+    "manifest",
+    "request",
+    "results",
+    "fingerprints",
+    "telemetry",
+];
+const REQUEST_FIELDS: &[&str] = &[
+    "tenant",
+    "request_id",
+    "submit_tick",
+    "queue_wait_ticks",
+    "schedule_ticks",
+    "execute_ticks",
+    "commit_ticks",
+];
+const RESULT_FIELDS: &[&str] = &[
+    "experiment",
+    "application",
+    "workload",
+    "status",
+    "cached",
+    "foms",
+    "criteria",
+    "variables",
+    "profile",
+];
+const FOM_FIELDS: &[&str] = &["name", "value", "units", "context"];
+const TELEMETRY_FIELDS: &[&str] = &["counters", "observations"];
+
+/// The next key of the object being read that `fields` lists, with the
+/// reader before its value; `None` at the object's end. The values of
+/// other keys are skipped. `seen` holds one bit per entry of `fields`, so a
+/// field named twice is an error at its second key.
+fn next_field(
+    r: &mut JsonReader<'_>,
+    fields: &[&'static str],
+    seen: &mut u32,
+) -> Result<Option<&'static str>, String> {
+    while let Token::Key(key) = r.next_token()? {
+        match fields.iter().position(|field| *field == key) {
+            Some(i) if *seen & (1 << i) != 0 => {
+                return Err(format!("duplicate key `{key}` at byte {}", r.offset()))
+            }
+            Some(i) => {
+                *seen |= 1 << i;
+                return Ok(Some(fields[i]));
+            }
+            None => {
+                let value = r.next_token()?;
+                r.skip(&value)?;
+            }
+        }
+    }
+    Ok(None)
+}
+
+/// The first token of the next element of the array being read, or `None`
+/// at its end.
+fn element<'a>(r: &mut JsonReader<'a>) -> Result<Option<Token<'a>>, String> {
+    match r.next_token()? {
+        Token::ArrayEnd => Ok(None),
+        token => Ok(Some(token)),
     }
 }
 
-/// Moves a string field out of a parsed object, or names it as missing
-/// from `what`.
-fn take_text(map: &mut Map, key: &str, what: &str) -> Result<String, String> {
-    match map.remove(key) {
-        Some(Value::Str(text)) => Ok(text),
-        _ => Err(format!("{what} lacks `{key}`")),
+/// Reads a name-keyed object (fingerprints, counters, observations,
+/// variables, a FOM's context) into `(name, value)` pairs in file order,
+/// decoding each value from its first token with `value`. A field that is
+/// not an object is skipped and reads as empty, as if absent. A name
+/// repeated within the object is an error.
+fn entries<'a, T>(
+    r: &mut JsonReader<'a>,
+    mut value: impl FnMut(&mut JsonReader<'a>, &str, Token<'a>) -> Result<T, String>,
+) -> Result<Vec<(String, T)>, String> {
+    let mut pairs: Vec<(String, T)> = Vec::new();
+    let first = r.next_token()?;
+    if first != Token::ObjectStart {
+        r.skip(&first)?;
+        return Ok(pairs);
+    }
+    // the ledger writes these objects sorted by name: while they stay
+    // sorted, a name above the last one is new without a scan
+    let mut sorted = true;
+    while let Token::Key(name) = r.next_token()? {
+        let repeated = match pairs.last() {
+            Some((last, _)) if !(sorted && **last < *name) => {
+                sorted = false;
+                pairs.iter().any(|(seen, _)| **seen == *name)
+            }
+            _ => false,
+        };
+        if repeated {
+            return Err(format!("duplicate key `{name}` at byte {}", r.offset()));
+        }
+        let token = r.next_token()?;
+        let decoded = value(r, &name, token)?;
+        pairs.push((name.into_owned(), decoded));
+    }
+    Ok(pairs)
+}
+
+/// Reads a string field, or fails with `missing` when the value is
+/// anything else.
+fn text(r: &mut JsonReader<'_>, missing: &str) -> Result<String, String> {
+    match r.next_token()? {
+        Token::Str(text) => Ok(text.into_owned()),
+        _ => Err(missing.to_string()),
     }
 }
 
-/// Moves an array field out of a parsed object.
-fn take_seq(map: &mut Map, key: &str) -> Option<Vec<Value>> {
-    match map.remove(key)? {
-        Value::Seq(items) => Some(items),
+fn int(token: Token<'_>) -> Option<i64> {
+    match token {
+        Token::Int(i) => Some(i),
         _ => None,
     }
 }
 
-/// Moves an object field out of a parsed object.
-fn take_map(map: &mut Map, key: &str) -> Option<Map> {
-    match map.remove(key)? {
-        Value::Map(entries) => Some(entries),
+/// A float, or an integer read as one.
+fn float(token: Token<'_>) -> Option<f64> {
+    match token {
+        Token::Float(f) => Some(f),
+        Token::Int(i) => Some(i as f64),
         _ => None,
     }
 }
 
-/// A two-element array, moved out.
-fn into_pair(value: Value) -> Option<[Value; 2]> {
-    match value {
-        Value::Seq(items) => items.try_into().ok(),
-        _ => None,
-    }
+/// A value as [`Value::scalar_string`] renders it: a string verbatim,
+/// another scalar in its canonical text, and a container (skipped) as
+/// empty.
+fn scalar_text<'a>(r: &mut JsonReader<'a>, token: Token<'a>) -> Result<String, String> {
+    Ok(match token {
+        Token::Str(text) => text.into_owned(),
+        Token::ObjectStart | Token::ArrayStart => {
+            r.skip(&token)?;
+            String::new()
+        }
+        scalar => scalar
+            .into_scalar()
+            .and_then(|value| value.scalar_string())
+            .unwrap_or_default(),
+    })
 }
 
-/// [`Value::scalar_string`] by value: a string moves out, other scalars
-/// render, and containers become empty.
-fn into_scalar_string(value: Value) -> String {
-    match value {
-        Value::Str(text) => text,
-        other => other.scalar_string().unwrap_or_default(),
+/// Reads a value that must be a two-element array; each element is its
+/// first token (a container element is skipped). Anything else fails
+/// with `shape`.
+fn pair<'a>(
+    r: &mut JsonReader<'a>,
+    first: Token<'a>,
+    shape: &str,
+) -> Result<(Token<'a>, Token<'a>), String> {
+    if first != Token::ArrayStart {
+        return Err(shape.to_string());
     }
-}
-
-fn result_from_value(value: Value) -> Result<ExperimentResult, String> {
-    const RESULT: &str = "experiment result";
-    let mut map = into_map(value);
-    let status = match take_text(&mut map, "status", RESULT)?.as_str() {
-        "Success" => ExperimentStatus::Success,
-        "Failed" => ExperimentStatus::Failed,
-        "JobError" => ExperimentStatus::JobError,
-        other => return Err(format!("unknown experiment status `{other}`")),
+    let member = |r: &mut JsonReader<'a>| -> Result<Token<'a>, String> {
+        let token = element(r)?.ok_or_else(|| shape.to_string())?;
+        r.skip(&token)?;
+        Ok(token)
     };
-    let mut foms = Vec::new();
-    for item in take_seq(&mut map, "foms").ok_or("experiment result lacks `foms`")? {
-        let mut fom = into_map(item);
-        let context = take_map(&mut fom, "context")
-            .unwrap_or_default()
-            .into_iter()
-            .map(|(k, v)| (k, into_scalar_string(v)))
-            .collect();
-        foms.push(FomValue {
-            name: take_text(&mut fom, "name", "fom")?,
-            value: take_text(&mut fom, "value", "fom")?,
-            units: take_text(&mut fom, "units", "fom")?,
-            context,
-        });
+    let (a, b) = (member(r)?, member(r)?);
+    if element(r)?.is_some() {
+        return Err(shape.to_string());
     }
+    Ok((a, b))
+}
+
+fn read_telemetry(
+    r: &mut JsonReader<'_>,
+    counters: &mut Vec<(String, u64)>,
+    observations: &mut Vec<(String, f64)>,
+) -> Result<(), String> {
+    let first = r.next_token()?;
+    if first != Token::ObjectStart {
+        return r.skip(&first);
+    }
+    let mut seen = 0;
+    while let Some(key) = next_field(r, TELEMETRY_FIELDS, &mut seen)? {
+        match key {
+            "counters" => {
+                *counters = entries(r, |_, name, total| {
+                    let total = int(total).ok_or("counter total must be an integer")?;
+                    // a negative total is corruption, not data — reject the
+                    // record (the corrupt-line skip path handles it) rather
+                    // than clamp it into a valid-looking history
+                    if total < 0 {
+                        return Err(format!("counter `{name}` total {total} is negative"));
+                    }
+                    Ok(total as u64)
+                })?;
+            }
+            "observations" => {
+                *observations = entries(r, |_, _, mean| {
+                    float(mean).ok_or_else(|| "observation mean must be numeric".to_string())
+                })?;
+            }
+            _ => unreachable!("every name in TELEMETRY_FIELDS has an arm"),
+        }
+    }
+    Ok(())
+}
+
+/// Reads the `request` field: `None` when it is not an object.
+fn read_request(r: &mut JsonReader<'_>) -> Result<Option<RequestTrace>, String> {
+    let first = r.next_token()?;
+    if first != Token::ObjectStart {
+        r.skip(&first)?;
+        return Ok(None);
+    }
+    let mut tenant = None;
+    let (mut request_id, mut submit_tick, mut queue_wait_ticks) = (None, None, None);
+    let (mut schedule_ticks, mut execute_ticks, mut commit_ticks) = (None, None, None);
+    let mut seen = 0;
+    while let Some(key) = next_field(r, REQUEST_FIELDS, &mut seen)? {
+        let slot = match key {
+            "tenant" => {
+                tenant = Some(text(r, "request trace lacks `tenant`")?);
+                continue;
+            }
+            "request_id" => &mut request_id,
+            "submit_tick" => &mut submit_tick,
+            "queue_wait_ticks" => &mut queue_wait_ticks,
+            "schedule_ticks" => &mut schedule_ticks,
+            "execute_ticks" => &mut execute_ticks,
+            "commit_ticks" => &mut commit_ticks,
+            _ => unreachable!("every name in REQUEST_FIELDS has an arm"),
+        };
+        let value = int(r.next_token()?).ok_or_else(|| format!("request trace lacks `{key}`"))?;
+        if value < 0 {
+            return Err(format!("request trace `{key}` {value} is negative"));
+        }
+        *slot = Some(value as u64);
+    }
+    let tick =
+        |value: Option<u64>, key: &str| value.ok_or_else(|| format!("request trace lacks `{key}`"));
+    Ok(Some(RequestTrace {
+        tenant: tenant.ok_or("request trace lacks `tenant`")?,
+        request_id: tick(request_id, "request_id")?,
+        submit_tick: tick(submit_tick, "submit_tick")?,
+        queue_wait_ticks: tick(queue_wait_ticks, "queue_wait_ticks")?,
+        schedule_ticks: tick(schedule_ticks, "schedule_ticks")?,
+        execute_ticks: tick(execute_ticks, "execute_ticks")?,
+        commit_ticks: tick(commit_ticks, "commit_ticks")?,
+    }))
+}
+
+/// Reads one element of `results`, whose first token is `first`.
+fn read_result<'a>(r: &mut JsonReader<'a>, first: Token<'a>) -> Result<ExperimentResult, String> {
+    if first != Token::ObjectStart {
+        return Err("experiment result lacks `status`".to_string());
+    }
+    let (mut experiment, mut application, mut workload) = (None, None, None);
+    let (mut status, mut foms) = (None, None);
+    let mut cached = false;
     let mut criteria = Vec::new();
-    for pair in take_seq(&mut map, "criteria").unwrap_or_default() {
-        match into_pair(pair) {
-            Some([Value::Str(name), Value::Bool(ok)]) => criteria.push((name, ok)),
-            _ => return Err("criterion must be a [name, ok] pair".to_string()),
-        }
-    }
-    let variables = take_map(&mut map, "variables")
-        .unwrap_or_default()
-        .into_iter()
-        .map(|(k, v)| (k, into_scalar_string(v)))
-        .collect();
+    let mut variables = BTreeMap::new();
     let mut profile = Vec::new();
-    for pair in take_seq(&mut map, "profile").unwrap_or_default() {
-        match into_pair(pair) {
-            Some([Value::Str(name), seconds]) => profile.push((
-                name,
-                seconds
-                    .as_float()
-                    .ok_or("profile seconds must be numeric")?,
-            )),
-            _ => return Err("profile entry must be [name, seconds]".to_string()),
+    let mut seen = 0;
+    while let Some(key) = next_field(r, RESULT_FIELDS, &mut seen)? {
+        match key {
+            "experiment" => experiment = Some(text(r, "experiment result lacks `experiment`")?),
+            "application" => application = Some(text(r, "experiment result lacks `application`")?),
+            "workload" => workload = Some(text(r, "experiment result lacks `workload`")?),
+            "status" => {
+                status = Some(
+                    match text(r, "experiment result lacks `status`")?.as_str() {
+                        "Success" => ExperimentStatus::Success,
+                        "Failed" => ExperimentStatus::Failed,
+                        "JobError" => ExperimentStatus::JobError,
+                        other => return Err(format!("unknown experiment status `{other}`")),
+                    },
+                )
+            }
+            // absent in schema-1 records: those were all freshly measured
+            "cached" => {
+                let token = r.next_token()?;
+                r.skip(&token)?;
+                cached = token == Token::Bool(true);
+            }
+            "foms" => {
+                if r.next_token()? != Token::ArrayStart {
+                    return Err("experiment result lacks `foms`".to_string());
+                }
+                let mut items = Vec::new();
+                while let Some(first) = element(r)? {
+                    items.push(read_fom(r, first)?);
+                }
+                foms = Some(items);
+            }
+            "criteria" => {
+                let first = r.next_token()?;
+                if first != Token::ArrayStart {
+                    r.skip(&first)?;
+                    continue;
+                }
+                const CRITERION: &str = "criterion must be a [name, ok] pair";
+                while let Some(first) = element(r)? {
+                    match pair(r, first, CRITERION)? {
+                        (Token::Str(name), Token::Bool(ok)) => {
+                            criteria.push((name.into_owned(), ok))
+                        }
+                        _ => return Err(CRITERION.to_string()),
+                    }
+                }
+            }
+            "variables" => {
+                // one bulk build from the pairs costs less than inserting
+                // them one by one
+                variables = entries(r, |r, _, value| scalar_text(r, value))?
+                    .into_iter()
+                    .collect();
+            }
+            "profile" => {
+                let first = r.next_token()?;
+                if first != Token::ArrayStart {
+                    r.skip(&first)?;
+                    continue;
+                }
+                const ENTRY: &str = "profile entry must be [name, seconds]";
+                while let Some(first) = element(r)? {
+                    match pair(r, first, ENTRY)? {
+                        (Token::Str(name), seconds) => profile.push((
+                            name.into_owned(),
+                            float(seconds).ok_or("profile seconds must be numeric")?,
+                        )),
+                        _ => return Err(ENTRY.to_string()),
+                    }
+                }
+            }
+            _ => unreachable!("every name in RESULT_FIELDS has an arm"),
         }
     }
+    // missing fields are named in the order the ledger always used
     Ok(ExperimentResult {
-        experiment: take_text(&mut map, "experiment", RESULT)?,
-        application: take_text(&mut map, "application", RESULT)?,
-        workload: take_text(&mut map, "workload", RESULT)?,
-        status,
-        foms,
+        status: status.ok_or("experiment result lacks `status`")?,
+        foms: foms.ok_or("experiment result lacks `foms`")?,
+        experiment: experiment.ok_or("experiment result lacks `experiment`")?,
+        application: application.ok_or("experiment result lacks `application`")?,
+        workload: workload.ok_or("experiment result lacks `workload`")?,
         criteria,
         variables,
         profile,
-        // absent in schema-1 records: those were all freshly measured
-        cached: map
-            .remove("cached")
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false),
+        cached,
+    })
+}
+
+/// Reads one FOM, whose first token is `first`.
+fn read_fom<'a>(r: &mut JsonReader<'a>, first: Token<'a>) -> Result<FomValue, String> {
+    if first != Token::ObjectStart {
+        return Err("fom lacks `name`".to_string());
+    }
+    let (mut name, mut value, mut units) = (None, None, None);
+    let mut context = BTreeMap::new();
+    let mut seen = 0;
+    while let Some(key) = next_field(r, FOM_FIELDS, &mut seen)? {
+        match key {
+            "name" => name = Some(text(r, "fom lacks `name`")?),
+            "value" => value = Some(text(r, "fom lacks `value`")?),
+            "units" => units = Some(text(r, "fom lacks `units`")?),
+            "context" => {
+                context = entries(r, |r, _, value| scalar_text(r, value))?
+                    .into_iter()
+                    .collect();
+            }
+            _ => unreachable!("every name in FOM_FIELDS has an arm"),
+        }
+    }
+    Ok(FomValue {
+        name: name.ok_or("fom lacks `name`")?,
+        value: value.ok_or("fom lacks `value`")?,
+        units: units.ok_or("fom lacks `units`")?,
+        context,
     })
 }
 
@@ -500,19 +770,20 @@ pub fn append_run(path: &Path, record: &mut RunRecord) -> Result<u64, String> {
     let (existing, ends_with_newline) = match std::fs::File::open(path) {
         Ok(file) => {
             let mut reader = std::io::BufReader::new(file);
-            let mut line = String::new();
+            let mut line = Vec::new();
             let mut valid = 0u64;
             let mut newline_terminated = true;
             loop {
                 line.clear();
                 let read = reader
-                    .read_line(&mut line)
+                    .read_until(b'\n', &mut line)
                     .map_err(|e| format!("cannot read ledger `{}`: {e}", path.display()))?;
                 if read == 0 {
                     break;
                 }
-                newline_terminated = line.ends_with('\n');
-                if !line.trim().is_empty() && RunRecord::parse_line(line.trim_end()).is_ok() {
+                newline_terminated = line.ends_with(b"\n");
+                let raw = line.strip_suffix(b"\n").unwrap_or(&line);
+                if matches!(decode_line(raw), Some(Ok(_))) {
                     valid += 1;
                 }
             }
@@ -574,25 +845,36 @@ impl LedgerLoad {
 /// 1-based sequences in file order, so histories assembled from several
 /// processes (or with holes from skipped lines) stay monotonic.
 pub fn load_ledger(path: &Path, sink: &TelemetrySink) -> Result<LedgerLoad, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read ledger `{}`: {e}", path.display()))?;
+    let bytes =
+        std::fs::read(path).map_err(|e| format!("cannot read ledger `{}`: {e}", path.display()))?;
     let mut load = LedgerLoad::default();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match RunRecord::parse_line(line) {
-            Ok(mut record) => {
+    for raw in bytes.split(|&b| b == b'\n') {
+        match decode_line(raw) {
+            None => {}
+            Some(Ok(mut record)) => {
                 record.sequence = load.runs.len() as u64 + 1;
                 load.runs.push(record);
             }
-            Err(_) => {
+            Some(Err(_)) => {
                 load.skipped += 1;
                 sink.incr("obs.ledger.skipped", 1);
             }
         }
     }
     Ok(load)
+}
+
+/// Decodes one raw ledger line (its `\n` removed): `None` for a blank
+/// line, else the record or why the line is corrupt. A line that is not
+/// UTF-8 — a tear inside a multi-byte character — is corrupt like any
+/// other, so one bad byte never costs the rest of the file. [`load_ledger`]
+/// and [`append_run`] both judge lines here, so they agree on which count.
+fn decode_line(raw: &[u8]) -> Option<Result<RunRecord, String>> {
+    match std::str::from_utf8(raw) {
+        Ok(line) if line.trim().is_empty() => None,
+        Ok(line) => Some(RunRecord::parse_line(line)),
+        Err(e) => Some(Err(format!("line is not UTF-8: {e}"))),
+    }
 }
 
 /// The shard file for one `(tenant, system)` pair under a sharded-ledger

@@ -1372,6 +1372,12 @@ fn parse_line_reports_each_fault_in_its_own_words() {
             "{\"schema\":9,",
             "unknown ledger schema version 9",
         ),
+        // a field named twice in one object
+        (
+            "{\"schema\":3,",
+            "{\"schema\":3,\"schema\":3,",
+            "duplicate key `schema` at byte 12",
+        ),
     ];
     for (needle, replacement, expected) in cases {
         assert!(good.contains(needle), "fixture drifted: {needle}");

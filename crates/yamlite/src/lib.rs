@@ -38,10 +38,14 @@ mod value;
 
 pub use emitter::emit;
 pub use error::{ParseError, Result};
-pub use json::{emit_json, json_number, json_string, parse_json};
+pub use json::{
+    emit_json, json_number, json_string, parse_json, JsonReader, Token, MAX_JSON_DEPTH,
+};
 pub use parser::{parse, parse_spanned};
 pub use span::{Span, SpannedEntry, SpannedMap, SpannedNode, SpannedValue};
 pub use value::{Map, Value};
 
 #[cfg(test)]
 mod tests;
+#[cfg(test)]
+mod tests_json;

@@ -103,8 +103,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
 }
 
 fn run_daemon(parsed: ServeArgs) -> Result<(), String> {
-    let spool = parsed.root.join("queue");
-    let (text, base, from_spool) = match &parsed.replay {
+    let replay = match &parsed.replay {
         Some(file) => {
             let text = std::fs::read_to_string(file)
                 .map_err(|e| format!("cannot read replay file `{}`: {e}", file.display()))?;
@@ -113,25 +112,17 @@ fn run_daemon(parsed: ServeArgs) -> Result<(), String> {
                 .filter(|p| !p.as_os_str().is_empty())
                 .unwrap_or(Path::new("."))
                 .to_path_buf();
-            (text, base, false)
+            Some((text, base))
         }
-        None => {
-            let text = match std::fs::read_to_string(&spool) {
-                Ok(text) => text,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-                Err(e) => return Err(format!("cannot read spool `{}`: {e}", spool.display())),
-            };
-            (text, parsed.root.clone(), true)
-        }
+        None => None,
     };
     let mut daemon = ServeDaemon::new(parsed.config)?;
-    daemon.intake_text(&text, &base);
-    daemon.drain()?;
-    if from_spool && spool.exists() {
-        // the spool is consumed: every line was either completed or
-        // rejected with a recorded reason
-        std::fs::remove_file(&spool)
-            .map_err(|e| format!("cannot consume spool `{}`: {e}", spool.display()))?;
+    match replay {
+        Some((text, base)) => {
+            daemon.intake_text(&text, &base);
+            daemon.drain()?;
+        }
+        None => drain_spool(&mut daemon, &parsed.root)?,
     }
     let report = daemon.report();
     print!("{}", report.render());
@@ -144,6 +135,70 @@ fn run_daemon(parsed: ServeArgs) -> Result<(), String> {
             .map_err(|e| format!("cannot write report `{}`: {e}", path.display()))?;
         eprintln!("wrote throughput report to {}", path.display());
     }
+    Ok(())
+}
+
+/// The spool `submit` appends to.
+fn spool_path(root: &Path) -> PathBuf {
+    root.join("queue")
+}
+
+/// Where `drain` moves the spool before reading it.
+fn claim_path(root: &Path) -> PathBuf {
+    root.join("queue.claimed")
+}
+
+/// A claimed spool: its requests, and whether a drain that was
+/// interrupted left it behind (rather than this drain claiming it).
+struct Claim {
+    text: String,
+    leftover: bool,
+}
+
+/// Takes the next spool to drain: a claim an interrupted drain left
+/// behind, else the live spool, moved to the claim path by one atomic
+/// rename so a `submit` from then on starts a fresh spool. `None` when
+/// there is neither.
+fn claim_spool(root: &Path) -> Result<Option<Claim>, String> {
+    let claim = claim_path(root);
+    let leftover = claim.exists();
+    if !leftover {
+        let spool = spool_path(root);
+        match std::fs::rename(&spool, &claim) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("cannot claim spool `{}`: {e}", spool.display())),
+        }
+    }
+    let text = std::fs::read_to_string(&claim)
+        .map_err(|e| format!("cannot read spool `{}`: {e}", claim.display()))?;
+    Ok(Some(Claim { text, leftover }))
+}
+
+/// Drains one claim and deletes it only once its drain succeeded: a
+/// failed or killed drain leaves the claim for the next one.
+fn drain_claim(daemon: &mut ServeDaemon, root: &Path, claim: &Claim) -> Result<(), String> {
+    daemon.intake_text(&claim.text, root);
+    daemon.drain()?;
+    // the claim is consumed: every line was either completed or rejected
+    // with a recorded reason
+    let path = claim_path(root);
+    std::fs::remove_file(&path)
+        .map_err(|e| format!("cannot consume spool `{}`: {e}", path.display()))
+}
+
+/// Drains the spool at `<root>/queue`: first any claim an interrupted
+/// drain left behind, so its requests keep their place ahead of later
+/// submissions, then the live spool.
+fn drain_spool(daemon: &mut ServeDaemon, root: &Path) -> Result<(), String> {
+    while let Some(claim) = claim_spool(root)? {
+        drain_claim(daemon, root, &claim)?;
+        if !claim.leftover {
+            return Ok(());
+        }
+    }
+    // nothing (more) spooled: drain anyway, so the outputs are flushed
+    daemon.drain()?;
     Ok(())
 }
 
@@ -190,7 +245,7 @@ pub fn cmd_submit(args: &[String]) -> Result<(), String> {
         .ok_or("expected <tenant> <benchmark>/<variant> <system> [faults] [template=PATH]")?;
     std::fs::create_dir_all(&parsed.root)
         .map_err(|e| format!("cannot create root `{}`: {e}", parsed.root.display()))?;
-    let spool = parsed.root.join("queue");
+    let spool = spool_path(&parsed.root);
     use std::io::Write as _;
     let mut file = std::fs::OpenOptions::new()
         .create(true)
@@ -206,4 +261,53 @@ pub fn cmd_submit(args: &[String]) -> Result<(), String> {
         parsed.root.display()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn temp_root(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("benchpark-spool-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn submit(root: &Path, request: &str) {
+        let mut args = vec!["--root".to_string(), root.display().to_string()];
+        args.extend(request.split(' ').map(str::to_string));
+        cmd_submit(&args).unwrap();
+    }
+
+    /// A `submit` that lands after the drain claimed the spool goes to a
+    /// fresh spool: the drain neither reads nor deletes it, and the next
+    /// drain runs it.
+    #[test]
+    fn a_submit_after_the_claim_survives_the_drain() {
+        let root = temp_root("claim");
+        submit(&root, "alice saxpy/openmp cts1");
+        let mut daemon = ServeDaemon::new(ServeConfig::new(&root)).unwrap();
+        let claim = claim_spool(&root).unwrap().expect("the spool is claimed");
+        assert!(!claim.leftover);
+        assert!(!spool_path(&root).exists(), "the claim moved the spool");
+
+        submit(&root, "bob stream/openmp cts1");
+        drain_claim(&mut daemon, &root, &claim).unwrap();
+        assert_eq!(daemon.report().completed, 1, "only the claimed request ran");
+        assert!(!claim_path(&root).exists(), "the drained claim is deleted");
+        assert_eq!(
+            std::fs::read_to_string(spool_path(&root)).unwrap(),
+            "bob stream/openmp cts1\n",
+            "the later submission survives"
+        );
+
+        cmd_drain(&["--root".to_string(), root.display().to_string()]).unwrap();
+        assert!(!spool_path(&root).exists());
+        assert!(
+            root.join("foms").join("bob.txt").exists(),
+            "the next drain ran it"
+        );
+    }
 }

@@ -450,3 +450,39 @@ fn submit_then_drain_round_trips_the_spool() {
     assert!(ok);
     assert!(stdout.contains("0 admitted"), "{stdout}");
 }
+
+/// A claim left by an interrupted drain is drained first, then the live
+/// spool: each request runs exactly once, in spool order, and both files
+/// are gone afterwards.
+#[test]
+fn drain_takes_a_leftover_claim_before_the_new_spool() {
+    let base = temp_base("leftover-claim");
+    let root = base.join("root");
+    std::fs::create_dir_all(&root).unwrap();
+    std::fs::write(root.join("queue.claimed"), "alice saxpy/openmp cts1\n").unwrap();
+    std::fs::write(root.join("queue"), "alice stream/openmp cts1\n").unwrap();
+    let root_str = root.to_str().unwrap().to_string();
+
+    let (ok, stdout, stderr) = benchpark(&["drain", "--root", &root_str]);
+    assert!(ok, "drain succeeds\n{stdout}\n{stderr}");
+    assert!(stdout.contains("2 admitted, 0 rejected"), "{stdout}");
+    assert!(!root.join("queue").exists() && !root.join("queue.claimed").exists());
+    let shard = std::fs::read_to_string(root.join("ledger/alice/cts1.jsonl")).unwrap();
+    let benchmarks: Vec<&str> = shard
+        .lines()
+        .map(|line| {
+            let at = line.find("\"benchmark\":\"").unwrap() + 13;
+            &line[at..at + line[at..].find('"').unwrap()]
+        })
+        .collect();
+    assert_eq!(
+        benchmarks,
+        ["saxpy", "stream"],
+        "the leftover claim ran first"
+    );
+
+    // exactly once: nothing is left to drain
+    let (ok, stdout, _) = benchpark(&["drain", "--root", &root_str]);
+    assert!(ok);
+    assert!(stdout.contains("0 admitted"), "{stdout}");
+}
