@@ -324,19 +324,53 @@ fn submit_mix(cluster: &mut Cluster) -> Vec<crate::JobId> {
     ids
 }
 
+/// The mix that separates the policies: a long 1-node job runs, a
+/// machine-wide job waits behind it, and short benchmark jobs arrive. FIFO
+/// holds them behind the wide job; backfill runs them in its shadow.
+/// Returns the short jobs.
+fn submit_shadow_mix(cluster: &mut Cluster) -> Vec<crate::JobId> {
+    let blocker = "#SBATCH -N 1\n#SBATCH -n 1\n#SBATCH -t 60:00\nsrun -n 1 amg -P 1 1 1 -n 400 400 400 -problem 1\n";
+    let wide = format!(
+        "#SBATCH -N {}\n#SBATCH -n 8\n#SBATCH -t 60:00\nsrun -n 8 amg -P 2 2 2 -n 96 96 96 -problem 1\n",
+        cluster.machine.nodes
+    );
+    let filler = "#SBATCH -N 1\n#SBATCH -n 4\n#SBATCH -t 2:00\nsrun -n 4 amg -P 2 2 1 -n 96 96 96 -problem 1\n";
+    cluster.submit_script(blocker, "prod").unwrap();
+    cluster.submit_script(&wide, "prod").unwrap();
+    (0..16)
+        .map(|_| cluster.submit_script(filler, "bench").unwrap())
+        .collect()
+}
+
 #[test]
 fn backfill_improves_utilization_over_fifo() {
-    let run = |policy| {
+    // (makespan, mean wait of the returned jobs)
+    let run = |policy, submit: fn(&mut Cluster) -> Vec<crate::JobId>| {
         let mut cluster = Cluster::with_policy(Machine::ats4(), policy);
-        submit_mix(&mut cluster);
+        let ids = submit(&mut cluster);
         cluster.run_until_idle();
-        (cluster.utilization(), cluster.now())
+        let wait: f64 = ids
+            .iter()
+            .map(|id| {
+                let job = cluster.job(*id).unwrap();
+                job.start_time.unwrap() - job.submit_time
+            })
+            .sum();
+        (cluster.now(), wait / ids.len() as f64)
     };
-    let (_fifo_util, fifo_makespan) = run(SchedulerPolicy::Fifo);
-    let (_bf_util, bf_makespan) = run(SchedulerPolicy::Backfill);
+    for submit in [submit_mix, submit_shadow_mix] {
+        let (fifo_makespan, _) = run(SchedulerPolicy::Fifo, submit);
+        let (bf_makespan, _) = run(SchedulerPolicy::Backfill, submit);
+        assert!(
+            bf_makespan <= fifo_makespan + 1e-9,
+            "backfill ({bf_makespan}) must not be slower than FIFO ({fifo_makespan})"
+        );
+    }
+    let (_, fifo_wait) = run(SchedulerPolicy::Fifo, submit_shadow_mix);
+    let (_, bf_wait) = run(SchedulerPolicy::Backfill, submit_shadow_mix);
     assert!(
-        bf_makespan <= fifo_makespan + 1e-9,
-        "backfill ({bf_makespan}) must not be slower than FIFO ({fifo_makespan})"
+        bf_wait < fifo_wait,
+        "backfill mean filler wait ({bf_wait}) must be below FIFO's ({fifo_wait})"
     );
 }
 

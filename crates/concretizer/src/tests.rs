@@ -496,6 +496,32 @@ fn unified_env_shares_nodes() {
     let a_mpi = &results[0].nodes["mvapich2"];
     let b_mpi = &results[1].nodes["mvapich2"];
     assert_eq!(a_mpi.hash, b_mpi.hash);
+
+    // ablation A1: over a 7-root environment, unification leaves fewer
+    // distinct package configurations than solving each root alone
+    let roots: Vec<Spec> = [
+        "saxpy+openmp",
+        "amg2023+caliper",
+        "stream",
+        "lulesh+openmp",
+        "osu-micro-benchmarks",
+        "caliper",
+        "hypre+openmp",
+    ]
+    .map(spec)
+    .to_vec();
+    let distinct = |unify| {
+        let dags = cts(&repo, &config).concretize_env(&roots, unify).unwrap();
+        dags.iter()
+            .flat_map(|dag| dag.nodes.values().map(|node| node.hash.clone()))
+            .collect::<std::collections::BTreeSet<_>>()
+            .len()
+    };
+    let (unified, independent) = (distinct(true), distinct(false));
+    assert!(
+        unified < independent,
+        "unify: true gave {unified} configurations, unify: false {independent}"
+    );
 }
 
 #[test]

@@ -276,6 +276,8 @@ fn golden_table1_structure() {
     let rendered = render_table1();
     assert!(rendered.contains("Component"));
     assert!(rendered.contains("ramble.yaml: success_criteria"));
+    // the system-specific column is backed by the four shipped profiles
+    assert_eq!(SystemProfile::all().len(), 4);
 }
 
 #[test]

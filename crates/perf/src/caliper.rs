@@ -1,7 +1,6 @@
-//! Caliper-style region instrumentation and profiles.
+//! Caliper-style profiles.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// One performance profile: call-path regions with inclusive times, plus
 /// run metadata (Adiak).
@@ -14,11 +13,6 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// An empty profile.
-    pub fn new() -> Profile {
-        Profile::default()
-    }
-
     /// Builds a profile from `(region, seconds)` pairs (e.g. a simulated
     /// job's output) and metadata pairs.
     pub fn from_parts<R, M>(regions: R, metadata: M) -> Profile
@@ -32,16 +26,6 @@ impl Profile {
         }
     }
 
-    /// Adds (accumulates) a region measurement.
-    pub fn record(&mut self, path: &str, seconds: f64) {
-        *self.regions.entry(path.to_string()).or_insert(0.0) += seconds;
-    }
-
-    /// Sets a metadata key.
-    pub fn set_metadata(&mut self, key: &str, value: impl ToString) {
-        self.metadata.insert(key.to_string(), value.to_string());
-    }
-
     /// Looks up a region's time.
     pub fn get(&self, path: &str) -> Option<f64> {
         self.regions.get(path).copied()
@@ -50,95 +34,5 @@ impl Profile {
     /// A metadata value.
     pub fn meta(&self, key: &str) -> Option<&str> {
         self.metadata.get(key).map(String::as_str)
-    }
-
-    /// Total time of top-level regions (paths without `/`).
-    pub fn total(&self) -> f64 {
-        self.regions
-            .iter()
-            .filter(|(path, _)| !path.contains('/'))
-            .map(|(_, t)| t)
-            .sum()
-    }
-}
-
-/// Nested-region annotator: `begin`/`end` pairs around real code measure
-/// wall-clock; `record` injects simulated measurements. Region paths nest
-/// with `/` exactly as Caliper renders them.
-#[derive(Debug)]
-pub struct Annotator {
-    stack: Vec<(String, Instant)>,
-    profile: Profile,
-}
-
-impl Default for Annotator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Annotator {
-    /// Starts with an empty profile.
-    pub fn new() -> Annotator {
-        Annotator {
-            stack: Vec::new(),
-            profile: Profile::new(),
-        }
-    }
-
-    /// Current nesting path.
-    fn path_with(&self, name: &str) -> String {
-        let mut parts: Vec<&str> = self.stack.iter().map(|(n, _)| n.as_str()).collect();
-        parts.push(name);
-        parts.join("/")
-    }
-
-    /// `CALI_MARK_BEGIN(name)`.
-    pub fn begin(&mut self, name: &str) {
-        self.stack.push((name.to_string(), Instant::now()));
-    }
-
-    /// `CALI_MARK_END(name)`. Panics on mismatched nesting, like Caliper's
-    /// runtime error.
-    pub fn end(&mut self, name: &str) {
-        let (top, started) = self.stack.pop().expect("end without begin");
-        assert_eq!(
-            top, name,
-            "mismatched region nesting: began {top}, ended {name}"
-        );
-        let mut parts: Vec<&str> = self.stack.iter().map(|(n, _)| n.as_str()).collect();
-        parts.push(name);
-        let path = parts.join("/");
-        self.profile.record(&path, started.elapsed().as_secs_f64());
-    }
-
-    /// Records a simulated measurement under the current nesting.
-    pub fn record(&mut self, name: &str, seconds: f64) {
-        let path = self.path_with(name);
-        self.profile.record(&path, seconds);
-    }
-
-    /// Times a closure as a region and returns its value.
-    pub fn scope<T>(&mut self, name: &str, f: impl FnOnce(&mut Annotator) -> T) -> T {
-        self.begin(name);
-        let value = f(self);
-        self.end(name);
-        value
-    }
-
-    /// Finishes annotation, yielding the profile. Panics if regions are
-    /// still open.
-    pub fn finish(self) -> Profile {
-        assert!(
-            self.stack.is_empty(),
-            "unclosed regions: {:?}",
-            self.stack.iter().map(|(n, _)| n).collect::<Vec<_>>()
-        );
-        self.profile
-    }
-
-    /// Mutable access to the profile (for metadata).
-    pub fn profile_mut(&mut self) -> &mut Profile {
-        &mut self.profile
     }
 }

@@ -1,80 +1,12 @@
-//! Tests for profiles, annotation, thicket composition, and Extra-P fitting.
+//! Tests for profiles, thicket composition, and Extra-P fitting.
 
-use crate::{extrap, Adiak, Annotator, Profile, Thicket};
+use crate::{extrap, Profile, Thicket};
 
 fn profile(regions: &[(&str, f64)], metadata: &[(&str, &str)]) -> Profile {
     Profile::from_parts(
         regions.iter().map(|(k, v)| (k.to_string(), *v)),
         metadata.iter().map(|(k, v)| (k.to_string(), v.to_string())),
     )
-}
-
-// ---------------------------------------------------------------------------
-// Caliper / Adiak
-// ---------------------------------------------------------------------------
-
-#[test]
-fn annotator_nests_regions() {
-    let mut ann = Annotator::new();
-    ann.begin("main");
-    ann.record("setup", 1.5);
-    ann.scope("solve", |a| {
-        a.record("spmv", 0.5);
-        a.record("spmv", 0.25); // accumulates
-    });
-    ann.end("main");
-    let profile = ann.finish();
-    assert_eq!(profile.get("main/setup"), Some(1.5));
-    assert_eq!(profile.get("main/solve/spmv"), Some(0.75));
-    assert!(profile.get("main").unwrap() >= 0.0); // wall-clocked
-}
-
-#[test]
-#[should_panic(expected = "mismatched region nesting")]
-fn annotator_detects_mismatch() {
-    let mut ann = Annotator::new();
-    ann.begin("a");
-    ann.end("b");
-}
-
-#[test]
-#[should_panic(expected = "unclosed regions")]
-fn annotator_detects_unclosed() {
-    let mut ann = Annotator::new();
-    ann.begin("a");
-    let _ = ann.finish();
-}
-
-#[test]
-fn annotator_measures_real_time() {
-    let mut ann = Annotator::new();
-    ann.scope("spin", |_| {
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_add(i * i);
-        }
-        assert!(acc != 42); // keep the loop alive
-    });
-    let profile = ann.finish();
-    assert!(profile.get("spin").unwrap() > 0.0);
-}
-
-#[test]
-fn adiak_stamps_metadata() {
-    let mut adiak = Adiak::new();
-    adiak
-        .collect_all("olga", "amg", "2026-07-07")
-        .value("nprocs", 512)
-        .value("machine", "cts1");
-    assert_eq!(adiak.len(), 5);
-    assert_eq!(adiak.get("user"), Some("olga"));
-
-    let mut p = Profile::new();
-    p.record("main", 2.0);
-    adiak.stamp(&mut p);
-    assert_eq!(p.meta("machine"), Some("cts1"));
-    assert_eq!(p.meta("nprocs"), Some("512"));
-    assert_eq!(p.total(), 2.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -168,10 +168,11 @@ pub fn parse_json(text: &str) -> Result<Value, String> {
     }
 }
 
-/// The deepest container nesting [`JsonReader`] accepts. Far above any
-/// document this program writes (a ledger record nests 6 levels), and low
-/// enough that a recursive consumer of the token stream stays far from the
-/// stack's end.
+/// The deepest container nesting [`JsonReader`] and the YAML parser
+/// accept. Far above any document this program writes (a ledger record
+/// nests 6 levels), and low enough that a recursive consumer of the token
+/// stream, or the YAML parser's own recursion, stays far from the stack's
+/// end.
 pub const MAX_JSON_DEPTH: usize = 128;
 
 /// One token of a JSON document, as [`JsonReader::next_token`] yields it.

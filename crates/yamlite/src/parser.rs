@@ -5,6 +5,7 @@
 //! [`parse`] is simply [`parse_spanned`] with the spans stripped.
 
 use crate::error::{ParseError, Result};
+use crate::json::MAX_JSON_DEPTH;
 use crate::span::{Span, SpannedMap, SpannedNode, SpannedValue};
 use crate::value::Value;
 
@@ -19,7 +20,9 @@ pub fn parse(input: &str) -> Result<Value> {
 /// Parses a YAML document into a [`SpannedValue`] carrying source positions.
 ///
 /// An empty document (or one containing only comments) parses to a null node
-/// with a default span.
+/// with a default span. Collections nested deeper than [`MAX_JSON_DEPTH`],
+/// block and flow levels counted together, are an error at the line of the
+/// collection that crosses the bound.
 pub fn parse_spanned(input: &str) -> Result<SpannedValue> {
     let lines = preprocess(input)?;
     if lines.is_empty() {
@@ -31,10 +34,10 @@ pub fn parse_spanned(input: &str) -> Result<SpannedValue> {
         && !is_seq_item(lines[0].text)
         && split_key(lines[0].text, lines[0].no, lines[0].indent + 1).is_err()
     {
-        return parse_scalar_or_flow(lines[0].text, lines[0].no, lines[0].indent + 1);
+        return parse_scalar_or_flow(lines[0].text, lines[0].no, lines[0].indent + 1, 0);
     }
     let mut pos = 0;
-    let value = parse_block(&lines, &mut pos, lines[0].indent)?;
+    let value = parse_block(&lines, &mut pos, lines[0].indent, 0)?;
     if pos < lines.len() {
         return Err(ParseError::new(
             lines[pos].no,
@@ -119,8 +122,27 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
+/// The depth inside one more collection opened at line `no`: the parser's
+/// recursions go one frame per level, so this bound keeps them far from the
+/// stack's end whatever the input.
+fn nest(depth: usize, no: usize) -> Result<usize> {
+    if depth == MAX_JSON_DEPTH {
+        return Err(ParseError::new(
+            no,
+            format!("nesting deeper than {MAX_JSON_DEPTH}"),
+        ));
+    }
+    Ok(depth + 1)
+}
+
 /// Parses the block starting at `pos`, whose lines are indented `indent`.
-fn parse_block(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<SpannedValue> {
+/// `depth` counts the collections around it, here and in every parser below.
+fn parse_block(
+    lines: &[Line<'_>],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<SpannedValue> {
     let line = &lines[*pos];
     if line.indent != indent {
         return Err(ParseError::new(
@@ -129,9 +151,9 @@ fn parse_block(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<Spa
         ));
     }
     if is_seq_item(line.text) {
-        parse_sequence(lines, pos, indent)
+        parse_sequence(lines, pos, indent, depth)
     } else {
-        parse_mapping(lines, pos, indent, None)
+        parse_mapping(lines, pos, indent, None, depth)
     }
 }
 
@@ -156,13 +178,23 @@ fn parse_mapping(
     pos: &mut usize,
     indent: usize,
     first: Option<FirstEntry<'_>>,
+    depth: usize,
 ) -> Result<SpannedValue> {
     let mut map = SpannedMap::new();
     let mut map_span = Span::new(lines.get(*pos).map(|l| l.no).unwrap_or(0), indent + 1);
+    let depth = nest(depth, first.as_ref().map_or(map_span.line, |e| e.no))?;
 
     if let Some(entry) = first {
         map_span = entry.key_span;
-        let value = mapping_value(lines, pos, indent, entry.inline, entry.no, entry.key_span)?;
+        let value = mapping_value(
+            lines,
+            pos,
+            indent,
+            entry.inline,
+            entry.no,
+            entry.key_span,
+            depth,
+        )?;
         map.insert(entry.key, entry.key_span, value);
     }
 
@@ -174,7 +206,7 @@ fn parse_mapping(
         let no = line.no;
         let (key, key_span, inline) = split_key(line.text, no, line.indent + 1)?;
         *pos += 1;
-        let value = mapping_value(lines, pos, indent, inline, no, key_span)?;
+        let value = mapping_value(lines, pos, indent, inline, no, key_span, depth)?;
         if map.contains_key(&key) {
             return Err(ParseError::new(
                 no,
@@ -200,19 +232,20 @@ fn mapping_value(
     inline: Option<Inline<'_>>,
     no: usize,
     key_span: Span,
+    depth: usize,
 ) -> Result<SpannedValue> {
     if let Some(inline) = inline {
-        return parse_scalar_or_flow(inline.text, no, inline.col);
+        return parse_scalar_or_flow(inline.text, no, inline.col, depth);
     }
     // No inline value: the value is a nested block (deeper indent), a sequence
     // at the same indent as the key (YAML permits this), or null.
     if *pos < lines.len() {
         let next = &lines[*pos];
         if next.indent > key_indent {
-            return parse_block(lines, pos, next.indent);
+            return parse_block(lines, pos, next.indent, depth);
         }
         if next.indent == key_indent && is_seq_item(next.text) {
-            return parse_sequence(lines, pos, key_indent);
+            return parse_sequence(lines, pos, key_indent, depth);
         }
     }
     Ok(SpannedValue {
@@ -222,9 +255,15 @@ fn mapping_value(
 }
 
 /// Parses a block sequence at `indent`.
-fn parse_sequence(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<SpannedValue> {
+fn parse_sequence(
+    lines: &[Line<'_>],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<SpannedValue> {
     let mut items = Vec::new();
     let seq_span = Span::new(lines[*pos].no, indent + 1);
+    let depth = nest(depth, seq_span.line)?;
     while *pos < lines.len() {
         let line = &lines[*pos];
         if line.indent != indent || !is_seq_item(line.text) {
@@ -246,7 +285,7 @@ fn parse_sequence(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<
         if content.is_empty() {
             // `-` alone: nested block on following deeper-indented lines.
             if *pos < lines.len() && lines[*pos].indent > indent {
-                items.push(parse_block(lines, pos, lines[*pos].indent)?);
+                items.push(parse_block(lines, pos, lines[*pos].indent, depth)?);
             } else {
                 items.push(SpannedValue {
                     span: Span::new(no, indent + 1),
@@ -255,7 +294,7 @@ fn parse_sequence(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<
             }
         } else if content.starts_with(['[', '{']) {
             // flow collections are values, never `key: value` entries
-            items.push(parse_scalar_or_flow(content, no, item_col)?);
+            items.push(parse_scalar_or_flow(content, no, item_col, depth)?);
         } else if let Ok((key, key_span, inline)) = split_key(content, no, item_col) {
             // `- key: …` starts a mapping whose entries align at item_indent.
             items.push(parse_mapping(
@@ -268,9 +307,10 @@ fn parse_sequence(lines: &[Line<'_>], pos: &mut usize, indent: usize) -> Result<
                     inline,
                     no,
                 }),
+                depth,
             )?);
         } else {
-            items.push(parse_scalar_or_flow(content, no, item_col)?);
+            items.push(parse_scalar_or_flow(content, no, item_col, depth)?);
         }
     }
     Ok(SpannedValue {
@@ -336,12 +376,13 @@ fn split_key<'a>(
 
 /// Parses an inline value: flow sequence, flow mapping, quoted or plain scalar.
 /// `col` is the 1-based column of `text`'s first byte in the source line.
-fn parse_scalar_or_flow(text: &str, no: usize, col: usize) -> Result<SpannedValue> {
+fn parse_scalar_or_flow(text: &str, no: usize, col: usize, depth: usize) -> Result<SpannedValue> {
     let lead = text.len() - text.trim_start().len();
     let col = col + lead;
     let text = text.trim();
     let span = Span::new(no, col);
     if text.starts_with('[') {
+        let depth = nest(depth, no)?;
         let inner = flow_body(text, '[', ']', no)?;
         let mut items = Vec::new();
         for (offset, part) in split_flow(inner) {
@@ -349,7 +390,7 @@ fn parse_scalar_or_flow(text: &str, no: usize, col: usize) -> Result<SpannedValu
                 continue;
             }
             // inner starts one byte after the `[`
-            items.push(parse_scalar_or_flow(part, no, col + 1 + offset)?);
+            items.push(parse_scalar_or_flow(part, no, col + 1 + offset, depth)?);
         }
         return Ok(SpannedValue {
             span,
@@ -357,6 +398,7 @@ fn parse_scalar_or_flow(text: &str, no: usize, col: usize) -> Result<SpannedValu
         });
     }
     if text.starts_with('{') {
+        let depth = nest(depth, no)?;
         let inner = flow_body(text, '{', '}', no)?;
         let mut map = SpannedMap::new();
         for (offset, part) in split_flow(inner) {
@@ -375,7 +417,7 @@ fn parse_scalar_or_flow(text: &str, no: usize, col: usize) -> Result<SpannedValu
                 ));
             }
             let value = match inline {
-                Some(inline) => parse_scalar_or_flow(inline.text, no, inline.col)?,
+                Some(inline) => parse_scalar_or_flow(inline.text, no, inline.col, depth)?,
                 None => SpannedValue {
                     span: key_span,
                     node: SpannedNode::Null,

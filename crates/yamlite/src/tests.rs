@@ -1,6 +1,6 @@
 //! Unit, golden, and property tests for the YAML subset.
 
-use crate::{emit, parse, Map, Value};
+use crate::{emit, parse, Map, Value, MAX_JSON_DEPTH};
 
 fn s(v: &str) -> Value {
     Value::str(v)
@@ -508,6 +508,48 @@ fn duplicate_flow_mapping_keys_rejected() {
     let err = parse("m: {a: 1, a: 2}\n").unwrap_err();
     assert!(err.message.contains("duplicate"), "{}", err.message);
     assert_eq!(err.line, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Nesting bound: at most MAX_JSON_DEPTH collections, block and flow alike.
+// ---------------------------------------------------------------------------
+
+fn flow_nest(levels: usize) -> String {
+    format!("{}{}", "[".repeat(levels), "]".repeat(levels))
+}
+
+fn block_nest(levels: usize) -> String {
+    (0..levels)
+        .map(|i| format!("{:indent$}k{i}:\n", "", indent = 2 * i))
+        .collect()
+}
+
+/// Before the bound, the 200,000-level input overflowed the stack of a
+/// test thread.
+#[test]
+fn flow_nesting_is_bounded() {
+    let doc = parse(&flow_nest(MAX_JSON_DEPTH)).unwrap();
+    let mut node = &doc;
+    for _ in 1..MAX_JSON_DEPTH {
+        node = &node.as_seq().unwrap()[0];
+    }
+    assert_eq!(node, &Value::Seq(vec![]));
+    let err = parse(&flow_nest(200_000)).unwrap_err();
+    assert_eq!(err.line, 1);
+    assert_eq!(err.message, format!("nesting deeper than {MAX_JSON_DEPTH}"));
+    let err = parse(&format!("a:\n  b: {}\n", flow_nest(200_000))).unwrap_err();
+    assert_eq!(err.line, 2);
+}
+
+#[test]
+fn block_nesting_is_bounded() {
+    assert!(parse(&block_nest(MAX_JSON_DEPTH)).is_ok());
+    let err = parse(&block_nest(MAX_JSON_DEPTH + 1)).unwrap_err();
+    assert_eq!(err.line, MAX_JSON_DEPTH + 1);
+    assert_eq!(err.message, format!("nesting deeper than {MAX_JSON_DEPTH}"));
+    // a block level and the flow levels inside it count together
+    let mixed = format!("a: {}\n", flow_nest(MAX_JSON_DEPTH));
+    assert_eq!(parse(&mixed).unwrap_err().line, 1);
 }
 
 // ---------------------------------------------------------------------------

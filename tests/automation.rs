@@ -115,6 +115,16 @@ fn approval_by_non_admin_is_insufficient_for_mirroring() {
     );
 }
 
+/// The virtual build time a Spack builder job reports:
+/// `installed N packages in X virtual seconds`.
+fn build_seconds(log: &str) -> f64 {
+    log.lines()
+        .find(|l| l.contains("virtual seconds"))
+        .and_then(|l| l.split_whitespace().nth(4))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no build time in log:\n{log}"))
+}
+
 #[test]
 fn cache_makes_second_contribution_cheap() {
     // continuous benchmarking economics: once the first PR populated the
@@ -138,6 +148,7 @@ fn cache_makes_second_contribution_cheap() {
     let (_, misses_before, pushes) = executor.cache.stats();
     assert!(pushes > 0);
     assert!(misses_before > 0);
+    let cold = build_seconds(&lab.pipeline(pipeline).unwrap().jobs[0].log);
 
     // second contributor, fresh builder machine (empty install DB)
     executor.db = benchpark::spack::InstallDatabase::new();
@@ -168,4 +179,10 @@ fn cache_makes_second_contribution_cheap() {
     assert!(build_log.contains("FetchFromCache"), "{build_log}");
     let (hits_after, _, _) = executor.cache.stats();
     assert!(hits_after > 0);
+    // ablation A2: the warm build is far cheaper in virtual time
+    let warm = build_seconds(build_log);
+    assert!(
+        warm * 5.0 < cold,
+        "warm build {warm}s is not 5x cheaper than cold {cold}s"
+    );
 }

@@ -5,7 +5,7 @@
 
 use benchpark::bench::{run_suite, suite_names, Scale, SuiteConfig};
 use benchpark::core::BenchReport;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn temp_base(tag: &str) -> PathBuf {
@@ -141,6 +141,29 @@ fn cli_bench_list_names_the_suite() {
     for name in suite_names(Scale::Full) {
         assert!(stdout.contains(&name), "missing {name}");
     }
+}
+
+/// The catalogue in `docs/perf/benches.md` names exactly the full-scale
+/// suite, in `suite_names` order.
+#[test]
+fn docs_bench_table_matches_suite() {
+    let doc =
+        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/perf/benches.md"))
+            .expect("docs/perf/benches.md");
+    let doc_names: Vec<String> = doc
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .map(|l| {
+            let cells: Vec<&str> = l.trim_matches('|').split('|').map(str::trim).collect();
+            assert_eq!(cells.len(), 3, "malformed row: {l}");
+            cells[0].trim_matches('`').to_string()
+        })
+        .collect();
+    assert_eq!(
+        doc_names,
+        suite_names(Scale::Full),
+        "docs/perf/benches.md catalogue diverged from the suite"
+    );
 }
 
 /// `benchpark bench --out DIR` writes `BENCH_<date>.json` into the

@@ -11,12 +11,17 @@
 //!    `CODE artifact:line:col` findings (snapshot-style), and
 //!    `tests/lint_fixtures/good/<rule>/` holds the corrected artifact that
 //!    must lint fully clean.
+//!
+//! Plus one CLI case: a config nested far past the parser's depth bound is
+//! a diagnostic, not a crash.
 
 use std::fs;
 use std::path::Path;
+use std::process::Command;
 
 use benchpark::core::{available_experiments, experiment_template, Benchpark, SystemProfile};
 use benchpark::lint::{ArtifactSet, Linter};
+use benchpark::yamlite::MAX_JSON_DEPTH;
 
 #[test]
 fn builtin_compositions_lint_clean() {
@@ -175,5 +180,36 @@ fn fixture_corpus_bad_artifacts_match_expected_findings() {
     assert!(
         failures.is_empty(),
         "bad fixtures diverged from EXPECT:\n{failures}"
+    );
+}
+
+/// A `ramble.yaml` holding 200,000 nested flow sequences is an ordinary
+/// parse diagnostic: `benchpark lint` exits 1 instead of overflowing the
+/// stack.
+#[test]
+fn lint_reports_deep_nesting_instead_of_crashing() {
+    let dir = std::env::temp_dir().join(format!("benchpark-lint-deep-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let levels = 200_000;
+    let yaml = format!(
+        "ramble:\n  variables:\n    n: {}{}\n",
+        "[".repeat(levels),
+        "]".repeat(levels)
+    );
+    fs::write(dir.join("ramble.yaml"), yaml).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_benchpark"))
+        .arg("lint")
+        .arg(&dir)
+        .args(["--format", "json"])
+        .output()
+        .expect("benchpark binary runs");
+    let _ = fs::remove_dir_all(&dir);
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let message = format!("nesting deeper than {MAX_JSON_DEPTH}");
+    assert!(
+        stdout.contains(r#""code": "BP0001""#) && stdout.contains(&message),
+        "{stdout}"
     );
 }
