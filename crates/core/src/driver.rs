@@ -48,11 +48,6 @@ pub struct Benchpark {
     /// Parallel build jobs for installs, and the worker-pool width for
     /// [`Benchpark::run_fleet`].
     jobs: usize,
-    /// Fingerprint → cached-result index consulted by [`Benchpark::run_fleet`]
-    /// (incremental re-benchmarking; `None` = always execute).
-    fingerprint_cache: Option<FingerprintIndex>,
-    /// When true, cache hits are executed anyway (`--force`).
-    force_rerun: bool,
 }
 
 impl Default for Benchpark {
@@ -73,20 +68,7 @@ impl Benchpark {
             site_cache: BinaryCache::new(),
             fault_plan: None,
             jobs: InstallOptions::default().jobs,
-            fingerprint_cache: None,
-            force_rerun: false,
         }
-    }
-
-    /// Attaches a fingerprint cache (built from a run ledger): every fleet
-    /// experiment whose fingerprint has a valid successful record is
-    /// skipped, its cached FOMs spliced into the outcome with a
-    /// `cached: true` marker. Pass `force` to execute hits anyway (they are
-    /// counted under the `fp.forced` telemetry counter).
-    pub fn with_fingerprint_cache(mut self, index: FingerprintIndex, force: bool) -> Benchpark {
-        self.fingerprint_cache = Some(index);
-        self.force_rerun = force;
-        self
     }
 
     /// Sets the parallel job count: `-j` for every install this driver runs
@@ -574,8 +556,7 @@ impl Benchpark {
                     &exp.system,
                     &exp.workspace_dir,
                 );
-                let collected =
-                    self.run_request(&spec, self.fingerprint_cache.as_ref(), self.force_rerun)?;
+                let collected = self.run_request(&spec, None, false)?;
                 Ok(FleetOutcome::from(collected))
             })
             .map_err(|e| e.to_string())?;
@@ -714,8 +695,6 @@ impl CollectedRun {
 impl From<CollectedRun> for FleetOutcome {
     fn from(collected: CollectedRun) -> FleetOutcome {
         FleetOutcome {
-            cached: collected.cached(),
-            executed: collected.executed.len(),
             benchmark: collected.benchmark,
             variant: collected.variant,
             system: collected.system,
@@ -744,15 +723,9 @@ pub struct FleetOutcome {
     pub benchmark: String,
     pub variant: String,
     pub system: String,
-    /// Experiments spliced from the fingerprint cache (0 when no cache was
-    /// installed via [`Benchpark::with_fingerprint_cache`]).
-    pub cached: usize,
-    /// Experiments actually executed this run.
-    pub executed: usize,
     /// Content-addressed fingerprint per experiment, from setup.
     pub fingerprints: BTreeMap<String, Fingerprint>,
-    /// FOMs and success criteria extracted by `ramble workspace analyze`
-    /// (cached splices included, marked `cached`).
+    /// FOMs and success criteria extracted by `ramble workspace analyze`.
     pub analysis: AnalyzeReport,
     /// The nine-step workflow transcript of this experiment.
     pub log: WorkflowLog,

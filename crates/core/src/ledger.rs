@@ -39,7 +39,6 @@
 //!   and reports absent stage timings, but stays fully usable for
 //!   `history`/`regress`.
 
-use crate::metrics::MetricsDatabase;
 use benchpark_ramble::{ExperimentResult, ExperimentStatus, FomValue};
 use benchpark_telemetry::{TelemetryReport, TelemetrySink};
 use benchpark_yamlite::{emit_json, JsonReader, Map, Token, Value};
@@ -821,21 +820,13 @@ pub struct LedgerLoad {
 }
 
 impl LedgerLoad {
-    /// Replays the loaded runs into a fresh [`MetricsDatabase`], one
-    /// sequence point per run in ledger order — the input
-    /// [`crate::regression`] expects.
-    pub fn to_database(&self) -> MetricsDatabase {
-        let db = MetricsDatabase::new();
-        for run in &self.runs {
-            db.record(
-                &run.system,
-                &run.benchmark,
-                &run.variant,
-                &run.manifest,
-                &run.results,
-            );
-        }
-        db
+    /// The loaded runs, borrowed. Kept only for perfbench, which times this
+    /// call as its `core.to_database_ms` layer; everything else queries
+    /// `&self.runs` directly. It returns a `Cow` rather than a slice because
+    /// perfbench passes the result on as `&db`, which clippy rejects as a
+    /// needless borrow of a slice.
+    pub fn to_database(&self) -> std::borrow::Cow<'_, [RunRecord]> {
+        std::borrow::Cow::Borrowed(&self.runs)
     }
 }
 

@@ -1,5 +1,5 @@
 //! `benchpark-core` — the Benchpark driver: systems, experiment suites, the
-//! end-to-end workflow, the metrics database, and reports.
+//! end-to-end workflow, the run ledger and its queries, and reports.
 //!
 //! This crate is the paper's primary contribution (§2): *"Benchpark is an
 //! infrastructure-as-code project combining a variety of open source tools
@@ -20,9 +20,11 @@
 //!   `/bin/benchpark $experiment $system $workspace_dir` becomes
 //!   [`Benchpark::setup_workspace`], and the remaining workflow steps map to
 //!   methods on the returned [`BenchparkWorkspace`].
-//! * [`MetricsDatabase`] — §5's goal: results stored *with* the exact
-//!   experiment manifests, queryable across systems and time, convertible to
-//!   [`benchpark_perf::Thicket`]s for Extra-P modeling (Figure 14).
+//! * [`ledger`] — §5's goal: results stored *with* the exact experiment
+//!   manifests as JSONL [`RunRecord`]s, in one ledger file or in one shard
+//!   per tenant and system.
+//!   [`scan_regressions`], [`fom_series`], [`usage_counts`] and
+//!   [`render_dashboard`] query a slice of runs across systems and time.
 //! * [`table1`] — the component matrix of Table 1, regenerated from the
 //!   implemented modules.
 //! * [`scaling`] — the Figure 14 pipeline: broadcast scaling study →
@@ -56,7 +58,7 @@ pub use ledger::{
     append_run, load_ledger, shard_path, LedgerLoad, LedgerShard, RequestTrace, RunRecord,
     ShardedLedger, LEDGER_SCHEMA, LEDGER_SCHEMA_MIN,
 };
-pub use metrics::{MetricsDatabase, StoredResult};
+pub use metrics::{fom_series, render_dashboard, usage_counts};
 pub use plot::ascii_plot;
 pub use procurement::{ProcurementReport, ProcurementStudy, WorkloadSpec};
 pub use regression::{

@@ -11,7 +11,6 @@
 //! would circulate.
 
 use crate::driver::Benchpark;
-use crate::metrics::MetricsDatabase;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -169,13 +168,9 @@ impl ProcurementStudy {
         }
     }
 
-    /// Executes every (workload × candidate) through the full pipeline,
-    /// recording all results into `db`, and scores the candidates.
-    pub fn run(
-        &self,
-        workspace_root: impl AsRef<Path>,
-        db: &MetricsDatabase,
-    ) -> Result<ProcurementReport, String> {
+    /// Executes every (workload × candidate) through the full pipeline and
+    /// scores the candidates.
+    pub fn run(&self, workspace_root: impl AsRef<Path>) -> Result<ProcurementReport, String> {
         let benchpark = Benchpark::new();
         let root = workspace_root.as_ref();
         let mut raw: BTreeMap<(String, String), (f64, f64)> = BTreeMap::new();
@@ -191,14 +186,6 @@ impl ProcurementStudy {
                     .map_err(|e| format!("{tag}: {e}"))?;
                 ws.run().map_err(|e| format!("{tag}: {e}"))?;
                 let analysis = ws.analyze(&benchpark).map_err(|e| format!("{tag}: {e}"))?;
-                db.record(
-                    system,
-                    &workload.benchmark,
-                    variant,
-                    &ws.manifest(),
-                    &analysis.results,
-                );
-
                 let best = analysis
                     .successes()
                     .flat_map(|r| r.foms.iter())

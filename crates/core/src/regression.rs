@@ -2,12 +2,12 @@
 //! in service, *"benchmarking is a useful tool for tracking system
 //! performance over time and diagnosing hardware failures"*).
 //!
-//! Continuous benchmarking records each run into the [`MetricsDatabase`]
-//! with a monotonically increasing sequence point; this module compares the
-//! most recent sequence against the history and flags statistically
-//! meaningful drops.
+//! Continuous benchmarking appends each run to the ledger; a run's sequence
+//! point is its position in the run slice. This module compares the most
+//! recent sequence against the history and flags statistically meaningful
+//! drops.
 
-use crate::metrics::{MetricsDatabase, StoredResult};
+use crate::ledger::RunRecord;
 use benchpark_ramble::ExperimentStatus;
 use std::collections::BTreeMap;
 
@@ -50,41 +50,40 @@ impl RegressionReport {
     }
 }
 
-/// A `(benchmark, system, fom)` key, borrowed from the stored records.
+/// A `(benchmark, system, fom)` key, borrowed from the runs.
 type SeriesKey<'a> = (&'a str, &'a str, &'a str);
 
 /// The successful numeric values of one FOM on one (benchmark, system).
 #[derive(Default)]
 struct Series<'a> {
-    /// Units of the latest sighting, in database order.
+    /// Units of the latest sighting, in slice order.
     units: &'a str,
-    /// Values per sequence point, in database order within each point.
-    by_sequence: BTreeMap<u64, Vec<f64>>,
+    /// Values per sequence point (a run's slice position), in record order
+    /// within each point.
+    by_sequence: BTreeMap<usize, Vec<f64>>,
 }
 
-/// Groups the successful numeric FOMs of `records` by
+/// Groups the successful numeric FOMs of the `(position, run)` pairs by
 /// `(benchmark, system, fom)` in one pass, without copying a record.
 fn group_series<'a>(
-    records: impl Iterator<Item = &'a StoredResult>,
+    runs: impl Iterator<Item = (usize, &'a RunRecord)>,
 ) -> BTreeMap<SeriesKey<'a>, Series<'a>> {
     let mut series: BTreeMap<SeriesKey<'a>, Series<'a>> = BTreeMap::new();
-    for record in records {
-        if record.result.status != ExperimentStatus::Success {
-            continue;
-        }
-        for f in &record.result.foms {
-            let Some(value) = f.as_f64() else {
+    for (position, run) in runs {
+        for result in &run.results {
+            if result.status != ExperimentStatus::Success {
                 continue;
-            };
-            let entry = series
-                .entry((&record.benchmark, &record.system, &f.name))
-                .or_default();
-            entry.units = &f.units;
-            entry
-                .by_sequence
-                .entry(record.sequence)
-                .or_default()
-                .push(value);
+            }
+            for f in &result.foms {
+                let Some(value) = f.as_f64() else {
+                    continue;
+                };
+                let entry = series
+                    .entry((&run.benchmark, &run.system, &f.name))
+                    .or_default();
+                entry.units = &f.units;
+                entry.by_sequence.entry(position).or_default().push(value);
+            }
         }
     }
     series
@@ -179,7 +178,7 @@ pub fn baseline_verdict(
     }
 }
 
-/// Compares the latest sequence to the history.
+/// Compares the latest sequence of `runs` to the history.
 ///
 /// A regression is flagged when the latest mean is worse than the baseline
 /// mean by more than `threshold` (relative) *and* more than two baseline
@@ -187,22 +186,21 @@ pub fn baseline_verdict(
 /// [`baseline_verdict`] statistic. Returns `None` when fewer than 3
 /// sequences exist.
 pub fn detect_regression(
-    db: &MetricsDatabase,
+    runs: &[RunRecord],
     benchmark: &str,
     system: &str,
     fom: &str,
     higher_is_better: bool,
     threshold: f64,
 ) -> Option<RegressionReport> {
-    db.with_records(|records| {
-        let matching = records
-            .iter()
-            .filter(|r| r.benchmark == benchmark && r.system == system);
-        let key = (benchmark, system, fom);
-        group_series(matching)
-            .get(&key)?
-            .report(key, higher_is_better, threshold)
-    })
+    let matching = runs
+        .iter()
+        .enumerate()
+        .filter(|(_, run)| run.benchmark == benchmark && run.system == system);
+    let key = (benchmark, system, fom);
+    group_series(matching)
+        .get(&key)?
+        .report(key, higher_is_better, threshold)
 }
 
 /// Heuristic: whether a FOM with these units improves downward (runtimes,
@@ -278,7 +276,7 @@ fn is_time_unit(u: &str) -> bool {
     )
 }
 
-/// Scans the whole database: every `(benchmark, system, fom)` triple with
+/// Scans every run: every `(benchmark, system, fom)` triple with
 /// enough history gets a [`detect_regression`] verdict, directions inferred
 /// from the units of the triple's latest sighting via
 /// [`lower_is_better_units`]. The pipeline's self-instrumentation
@@ -286,18 +284,16 @@ fn is_time_unit(u: &str) -> bool {
 /// health telemetry, not performance figures. Verdicts are sorted by
 /// (benchmark, system, fom).
 ///
-/// One pass over the stored records, borrowed under the read lock, groups
-/// every series at once.
-pub fn scan_regressions(db: &MetricsDatabase, threshold: f64) -> Vec<RegressionReport> {
-    db.with_records(|records| {
-        let benchmarks = records
-            .iter()
-            .filter(|r| r.benchmark != "benchpark-pipeline");
-        group_series(benchmarks)
-            .iter()
-            .filter_map(|(&key, series)| {
-                series.report(key, !lower_is_better_units(series.units), threshold)
-            })
-            .collect()
-    })
+/// One pass over the borrowed runs groups every series at once.
+pub fn scan_regressions(runs: &[RunRecord], threshold: f64) -> Vec<RegressionReport> {
+    let benchmarks = runs
+        .iter()
+        .enumerate()
+        .filter(|(_, run)| run.benchmark != "benchpark-pipeline");
+    group_series(benchmarks)
+        .iter()
+        .filter_map(|(&key, series)| {
+            series.report(key, !lower_is_better_units(series.units), threshold)
+        })
+        .collect()
 }

@@ -9,7 +9,6 @@
 //! flips to logarithmic.
 
 use crate::driver::Benchpark;
-use crate::metrics::MetricsDatabase;
 use crate::systems::SystemProfile;
 use benchpark_cluster::BcastAlgorithm;
 use benchpark_perf::{extrap, ScalingModel, Thicket};
@@ -46,13 +45,11 @@ impl ScalingStudy {
 }
 
 /// Runs the osu-bcast scaling experiment on `system` (optionally overriding
-/// the machine's broadcast algorithm), records results into `db`, and fits
-/// the Extra-P model.
+/// the machine's broadcast algorithm) and fits the Extra-P model.
 pub fn bcast_scaling_study(
     system: &str,
     algorithm: Option<BcastAlgorithm>,
     workspace_dir: impl AsRef<Path>,
-    db: &MetricsDatabase,
 ) -> Result<ScalingStudy, String> {
     let benchpark = Benchpark::new();
     let profile =
@@ -72,16 +69,8 @@ pub fn bcast_scaling_study(
     )?;
     ws.run().map_err(|e| e.to_string())?;
     let analysis = ws.analyze(&benchpark).map_err(|e| e.to_string())?;
-    db.record(
-        system,
-        "osu-bcast",
-        "scaling",
-        &ws.manifest(),
-        &analysis.results,
-    );
 
-    // compose profiles from this study's results only (the shared metrics
-    // database may hold other algorithms' runs) and extract the MPI_Bcast
+    // compose profiles from this study's results and extract the MPI_Bcast
     // series against nprocs
     let profiles: Vec<benchpark_perf::Profile> = analysis
         .results

@@ -1,9 +1,9 @@
-//! Tests for the Benchpark driver, systems, templates, metrics database,
+//! Tests for the Benchpark driver, systems, templates, the run queries,
 //! Table 1, and the Figure 14 pipeline.
 
 use crate::{
-    available_experiments, experiment_template, render_table1, render_tree, scaling, table1,
-    Benchpark, MetricsDatabase, SystemProfile,
+    available_experiments, experiment_template, fom_series, render_dashboard, render_table1,
+    render_tree, scaling, table1, usage_counts, Benchpark, RunRecord, SystemProfile,
 };
 use benchpark_cluster::BcastAlgorithm;
 use benchpark_ramble::ExperimentStatus;
@@ -179,65 +179,37 @@ fn unknown_inputs_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics database
+// Run queries
 // ---------------------------------------------------------------------------
 
 #[test]
-fn metrics_database_roundtrip() {
+fn run_queries_answer_series_usage_and_dashboard() {
     let benchpark = Benchpark::new();
-    let db = MetricsDatabase::new();
     let mut ws = benchpark
         .setup_workspace("stream", "openmp", "cts1", temp_dir("metrics"))
         .unwrap();
     ws.run().unwrap();
     let analysis = ws.analyze(&benchpark).unwrap();
-    db.record(
+    let runs = [RunRecord::from_run(
         "cts1",
         "stream",
         "openmp",
         &ws.manifest(),
         &analysis.results,
-    );
+        None,
+    )];
 
-    assert_eq!(db.len(), 4); // 4 thread counts
-    assert_eq!(db.query(Some("stream"), Some("cts1")).len(), 4);
-    assert_eq!(db.query(Some("stream"), Some("ats2")).len(), 0);
-    assert_eq!(db.query(None, None).len(), 4);
+    assert_eq!(usage_counts(&runs), [("stream".to_string(), 4)]); // 4 thread counts
+    assert!(fom_series(&runs, "stream", "ats2", "triad_bw", "n_threads").is_empty());
 
     // triad bandwidth grows with threads until saturation
-    let series = db.fom_series("stream", "cts1", "triad_bw", "n_threads");
+    let series = fom_series(&runs, "stream", "cts1", "triad_bw", "n_threads");
     assert_eq!(series.len(), 4);
     assert!(series[0].1 < series[3].1, "{series:?}");
 
     // stored manifests allow functional reproduction
-    let rec = &db.all()[0];
-    assert!(rec.manifest.contains("stream@5.10"));
-    assert!(db.render_dashboard().contains("stream"));
-}
-
-#[test]
-fn metrics_database_tracks_time_sequence() {
-    let db = MetricsDatabase::new();
-    let result = benchpark_ramble::ExperimentResult {
-        experiment: "e".to_string(),
-        application: "saxpy".to_string(),
-        workload: "problem".to_string(),
-        status: ExperimentStatus::Success,
-        foms: Vec::new(),
-        criteria: Vec::new(),
-        variables: Default::default(),
-        profile: Vec::new(),
-        cached: false,
-    };
-    let s1 = db.record(
-        "cts1",
-        "saxpy",
-        "openmp",
-        "m",
-        std::slice::from_ref(&result),
-    );
-    let s2 = db.record("cts1", "saxpy", "openmp", "m", &[result]);
-    assert!(s2 > s1, "sequence must advance for tracking over time");
+    assert!(runs[0].manifest.contains("stream@5.10"));
+    assert!(render_dashboard(&runs).contains("stream               cts1            4     4/4"));
 }
 
 // ---------------------------------------------------------------------------
@@ -307,8 +279,7 @@ fn tree_and_skeleton() {
 /// `-0.636 + 0.0466·p¹`.
 #[test]
 fn golden_fig14_extrap_model_on_cts() {
-    let db = MetricsDatabase::new();
-    let study = scaling::bcast_scaling_study("cts1", None, temp_dir("fig14"), &db).unwrap();
+    let study = scaling::bcast_scaling_study("cts1", None, temp_dir("fig14")).unwrap();
     assert_eq!(study.points.len(), 8);
     assert_eq!(study.algorithm, BcastAlgorithm::Linear);
     assert_eq!(
@@ -323,19 +294,15 @@ fn golden_fig14_extrap_model_on_cts() {
     assert_eq!(study.points.last().unwrap().0, 3456.0);
     let rendered = study.render();
     assert!(rendered.contains("p^(1)"), "{rendered}");
-    // results recorded into the metrics database
-    assert_eq!(db.query(Some("osu-bcast"), Some("cts1")).len(), 8);
 }
 
 /// Ablation A4: a binomial-tree broadcast fits a logarithmic model instead.
 #[test]
 fn fig14_ablation_tree_bcast_is_logarithmic() {
-    let db = MetricsDatabase::new();
     let study = scaling::bcast_scaling_study(
         "cts1",
         Some(BcastAlgorithm::BinomialTree),
         temp_dir("fig14-tree"),
-        &db,
     )
     .unwrap();
     assert_eq!(
@@ -345,13 +312,9 @@ fn fig14_ablation_tree_bcast_is_logarithmic() {
         study.model
     );
     // and the tree broadcast is far faster at scale than linear
-    let linear = scaling::bcast_scaling_study(
-        "cts1",
-        Some(BcastAlgorithm::Linear),
-        temp_dir("fig14-lin"),
-        &db,
-    )
-    .unwrap();
+    let linear =
+        scaling::bcast_scaling_study("cts1", Some(BcastAlgorithm::Linear), temp_dir("fig14-lin"))
+            .unwrap();
     let p_max = 3456.0;
     assert!(study.model.predict(p_max) * 10.0 < linear.model.predict(p_max));
 }
@@ -412,37 +375,6 @@ fn telemetry_traces_the_full_pipeline() {
         report.journal.first(),
         Some(benchpark_telemetry::Event::SpanStart { name, .. }) if name.as_ref() == "pipeline.setup"
     ));
-}
-
-/// Telemetry reports aggregate into the metrics database alongside FOMs.
-#[test]
-fn telemetry_report_lands_in_metrics_database() {
-    let sink = benchpark_telemetry::TelemetrySink::recording();
-    {
-        let _span = sink.span("pipeline.setup");
-        sink.incr("cache.hit", 4);
-        sink.observe("install.worker_utilization", 0.75);
-    }
-    let report = sink.report().unwrap();
-    let db = MetricsDatabase::new();
-    db.record_telemetry("cts1", &report);
-    let stored = db.query(Some("benchpark-pipeline"), Some("cts1"));
-    assert_eq!(stored.len(), 1);
-    let foms = &stored[0].result.foms;
-    let hit = foms.iter().find(|f| f.name == "cache.hit").unwrap();
-    assert_eq!(hit.value, "4");
-    assert_eq!(hit.units, "count");
-    let util = foms
-        .iter()
-        .find(|f| f.name == "install.worker_utilization")
-        .unwrap();
-    assert_eq!(util.value, "0.750000");
-    // the span tree is stored as the profile
-    assert!(stored[0]
-        .result
-        .profile
-        .iter()
-        .any(|(name, _)| name == "pipeline.setup"));
 }
 
 /// The disabled sink is the default everywhere and records nothing, and the

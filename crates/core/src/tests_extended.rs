@@ -1,8 +1,9 @@
 //! Tests for the service-life features: procurement studies, regression
-//! tracking, result sharing, usage metrics, and dashboard plots.
+//! tracking, usage metrics, and dashboard plots.
 
 use crate::{
-    ascii_plot, detect_regression, Benchpark, MetricsDatabase, ProcurementStudy, WorkloadSpec,
+    ascii_plot, detect_regression, usage_counts, Benchpark, ProcurementStudy, RunRecord,
+    WorkloadSpec,
 };
 use benchpark_cluster::FaultSpec;
 use benchpark_ramble::ExperimentStatus;
@@ -26,8 +27,7 @@ fn procurement_study_ranks_candidates() {
         WorkloadSpec::uniform("stream", "openmp", "triad_bw", true, 1.0),
     ];
     let study = ProcurementStudy::new(workloads, &["cts1", "ats2", "ats4"]);
-    let db = MetricsDatabase::new();
-    let report = study.run(temp_dir("procurement"), &db).unwrap();
+    let report = study.run(temp_dir("procurement")).unwrap();
 
     // every (workload, system) cell filled
     assert_eq!(report.measurements.len(), 6);
@@ -52,8 +52,6 @@ fn procurement_study_ranks_candidates() {
     let any = report.measurements.values().next().unwrap();
     assert!(any.energy_kwh > 0.0);
     assert!(any.fom_value > 0.0);
-    // results landed in the shared database
-    assert!(db.len() >= 6);
     let rendered = report.render();
     assert!(rendered.contains("performance winner"));
     assert!(rendered.contains("aggregate per kWh"));
@@ -68,8 +66,7 @@ fn procurement_lower_is_better_foms() {
             .with_variant("ats4", "rocm"),
     ];
     let study = ProcurementStudy::new(workloads, &["cts1", "ats4"]);
-    let db = MetricsDatabase::new();
-    let report = study.run(temp_dir("procurement-lib"), &db).unwrap();
+    let report = study.run(temp_dir("procurement-lib")).unwrap();
     assert_eq!(report.winner(), Some("ats4"));
     let cts = &report.measurements[&("amg2023".to_string(), "cts1".to_string())];
     let ats4 = &report.measurements[&("amg2023".to_string(), "ats4".to_string())];
@@ -87,9 +84,7 @@ fn procurement_unknown_fom_errors() {
         1.0,
     )];
     let study = ProcurementStudy::new(workloads, &["cts1"]);
-    let err = study
-        .run(temp_dir("procurement-bad"), &MetricsDatabase::new())
-        .unwrap_err();
+    let err = study.run(temp_dir("procurement-bad")).unwrap_err();
     assert!(err.contains("nonexistent_fom"), "{err}");
 }
 
@@ -97,9 +92,9 @@ fn procurement_unknown_fom_errors() {
 // Regression tracking over time (§1 service phase)
 // ---------------------------------------------------------------------------
 
-/// Runs the stream suite once on the given machine fault state and records
-/// into the database.
-fn run_stream_epoch(db: &MetricsDatabase, degrade: Option<f64>, tag: &str) {
+/// Runs the stream suite once on the given machine fault state and appends
+/// the run to `runs`.
+fn run_stream_epoch(runs: &mut Vec<RunRecord>, degrade: Option<f64>, tag: &str) {
     let benchpark = Benchpark::new();
     let profile = crate::SystemProfile::cts1();
     let mut machine = profile.machine();
@@ -111,24 +106,25 @@ fn run_stream_epoch(db: &MetricsDatabase, degrade: Option<f64>, tag: &str) {
         .unwrap();
     ws.run().unwrap();
     let analysis = ws.analyze(&benchpark).unwrap();
-    db.record(
+    runs.push(RunRecord::from_run(
         "cts1",
         "stream",
         "openmp",
         &ws.manifest(),
         &analysis.results,
-    );
+        None,
+    ));
 }
 
 #[test]
 fn regression_detected_after_hardware_fault() {
-    let db = MetricsDatabase::new();
+    let mut runs = Vec::new();
     // healthy history: 4 epochs
     for i in 0..4 {
-        run_stream_epoch(&db, None, &format!("healthy-{i}"));
+        run_stream_epoch(&mut runs, None, &format!("healthy-{i}"));
     }
     let healthy =
-        detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.10).expect("enough history");
+        detect_regression(&runs, "stream", "cts1", "triad_bw", true, 0.10).expect("enough history");
     assert!(!healthy.regressed, "{}", healthy.render());
     assert!(
         healthy.change.abs() < 0.05,
@@ -137,9 +133,9 @@ fn regression_detected_after_hardware_fault() {
     );
 
     // a DIMM goes bad: memory bandwidth halves
-    run_stream_epoch(&db, Some(0.5), "degraded");
+    run_stream_epoch(&mut runs, Some(0.5), "degraded");
     let report =
-        detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.10).expect("enough history");
+        detect_regression(&runs, "stream", "cts1", "triad_bw", true, 0.10).expect("enough history");
     assert!(report.regressed, "{}", report.render());
     assert!(report.change < -0.3, "expected ~-50%: {}", report.render());
     assert!(report.render().contains("REGRESSION"));
@@ -147,19 +143,18 @@ fn regression_detected_after_hardware_fault() {
 
 #[test]
 fn regression_needs_history() {
-    let db = MetricsDatabase::new();
-    run_stream_epoch(&db, None, "short-0");
-    assert!(detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.1).is_none());
-    run_stream_epoch(&db, None, "short-1");
-    assert!(detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.1).is_none());
-    run_stream_epoch(&db, None, "short-2");
-    assert!(detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.1).is_some());
+    let mut runs = Vec::new();
+    run_stream_epoch(&mut runs, None, "short-0");
+    assert!(detect_regression(&runs, "stream", "cts1", "triad_bw", true, 0.1).is_none());
+    run_stream_epoch(&mut runs, None, "short-1");
+    assert!(detect_regression(&runs, "stream", "cts1", "triad_bw", true, 0.1).is_none());
+    run_stream_epoch(&mut runs, None, "short-2");
+    assert!(detect_regression(&runs, "stream", "cts1", "triad_bw", true, 0.1).is_some());
 }
 
 #[test]
 fn lower_is_better_regression_direction() {
     // for a latency FOM, an *increase* is the regression
-    let db = MetricsDatabase::new();
     let mk = |value: f64| benchpark_ramble::ExperimentResult {
         experiment: "e".to_string(),
         application: "osu-bcast".to_string(),
@@ -176,90 +171,37 @@ fn lower_is_better_regression_direction() {
         profile: Vec::new(),
         cached: false,
     };
-    for _ in 0..4 {
-        db.record("cts1", "osu-bcast", "scaling", "m", &[mk(10.0)]);
-    }
-    db.record("cts1", "osu-bcast", "scaling", "m", &[mk(25.0)]);
-    let report = detect_regression(&db, "osu-bcast", "cts1", "avg_latency", false, 0.10).unwrap();
+    let run = |value| RunRecord::from_run("cts1", "osu-bcast", "scaling", "m", &[mk(value)], None);
+    let runs = [run(10.0), run(10.0), run(10.0), run(10.0), run(25.0)];
+    let report = detect_regression(&runs, "osu-bcast", "cts1", "avg_latency", false, 0.10).unwrap();
     assert!(report.regressed, "{}", report.render());
 }
 
 // ---------------------------------------------------------------------------
-// Result sharing (§5 collaboration) and usage metrics
+// Usage metrics (§5)
 // ---------------------------------------------------------------------------
 
 #[test]
-fn export_import_roundtrip() {
-    let db = MetricsDatabase::new();
-    run_stream_epoch(&db, None, "share");
-    let exported = db.export_text();
-    assert!(exported.contains("benchpark_results"));
-    assert!(exported.contains("triad_bw"));
-    assert!(exported.contains("manifest"));
-
-    // a collaborator at another center imports the shared results
-    let other = MetricsDatabase::new();
-    let imported = other.import_text(&exported).unwrap();
-    assert_eq!(imported, db.len());
-    assert_eq!(other.len(), db.len());
-    // FOM series identical after the round trip
-    assert_eq!(
-        db.fom_series("stream", "cts1", "triad_bw", "n_threads"),
-        other.fom_series("stream", "cts1", "triad_bw", "n_threads"),
-    );
-    // and re-exporting reproduces the same record count
-    let again = other.export_text();
-    let third = MetricsDatabase::new();
-    assert_eq!(third.import_text(&again).unwrap(), imported);
-}
-
-#[test]
-fn import_preserves_local_history_ordering() {
-    let db = MetricsDatabase::new();
-    run_stream_epoch(&db, None, "merge-local");
-    let local_max = db.all().iter().map(|r| r.sequence).max().unwrap();
-
-    let remote = MetricsDatabase::new();
-    run_stream_epoch(&remote, None, "merge-remote");
-    db.import_text(&remote.export_text()).unwrap();
-    // imported records sequence strictly after the local ones
-    let imported_min = db
-        .all()
-        .iter()
-        .filter(|r| r.sequence > local_max)
-        .map(|r| r.sequence)
-        .min()
-        .unwrap();
-    assert!(imported_min > local_max);
-}
-
-#[test]
-fn import_rejects_garbage() {
-    let db = MetricsDatabase::new();
-    assert!(db.import_text("not: relevant\n").is_err());
-    assert!(db.import_text("{{{{").is_err());
-}
-
-#[test]
 fn usage_counts_rank_benchmarks() {
-    let db = MetricsDatabase::new();
-    run_stream_epoch(&db, None, "usage-1");
-    run_stream_epoch(&db, None, "usage-2");
+    let mut runs = Vec::new();
+    run_stream_epoch(&mut runs, None, "usage-1");
+    run_stream_epoch(&mut runs, None, "usage-2");
     let benchpark = Benchpark::new();
     let mut ws = benchpark
         .setup_workspace("lulesh", "openmp", "cts1", temp_dir("usage-lulesh"))
         .unwrap();
     ws.run().unwrap();
     let analysis = ws.analyze(&benchpark).unwrap();
-    db.record(
+    runs.push(RunRecord::from_run(
         "cts1",
         "lulesh",
         "openmp",
         &ws.manifest(),
         &analysis.results,
-    );
+        None,
+    ));
 
-    let usage = db.usage_counts();
+    let usage = usage_counts(&runs);
     assert_eq!(usage[0].0, "stream"); // accessed most heavily
     assert!(usage.iter().any(|(b, _)| b == "lulesh"));
     assert!(usage[0].1 > usage.last().unwrap().1);

@@ -1,10 +1,10 @@
 //! Tests for the observability layer: the durable run ledger, regression
-//! edge cases, the units heuristic, the whole-database scan, and the
+//! edge cases, the units heuristic, the whole-ledger scan, and the
 //! failed-experiment gate.
 
 use crate::{
     append_run, detect_regression, gate_failed_experiments, load_ledger, lower_is_better_units,
-    scan_regressions, MetricsDatabase, RegressionReport, RequestTrace, RunRecord,
+    scan_regressions, RegressionReport, RequestTrace, RunRecord,
 };
 use benchpark_ramble::{ExperimentResult, ExperimentStatus, FomValue};
 use benchpark_telemetry::TelemetrySink;
@@ -140,8 +140,7 @@ fn ledger_replay_feeds_regression_scan() {
         append_run(&path, &mut rec).unwrap();
     }
     let load = load_ledger(&path, &TelemetrySink::noop()).unwrap();
-    let db = load.to_database();
-    let reports = scan_regressions(&db, 0.10);
+    let reports = scan_regressions(&load.runs, 0.10);
     assert_eq!(reports.len(), 1);
     let report = &reports[0];
     assert_eq!(
@@ -155,85 +154,54 @@ fn ledger_replay_feeds_regression_scan() {
 // Regression edge cases
 // ---------------------------------------------------------------------------
 
+/// An in-process run of `benchmark` on `system` with one result.
+fn run_of(system: &str, benchmark: &str, result: ExperimentResult) -> RunRecord {
+    RunRecord::from_run(system, benchmark, "openmp", "m", &[result], None)
+}
+
+/// A stream/cts1 run whose one result reports `triad_bw`.
+fn triad(value: f64, status: ExperimentStatus) -> RunRecord {
+    run_of("cts1", "stream", result("triad_bw", value, "MB/s", status))
+}
+
 #[test]
 fn regression_zero_baseline_std_flags_any_real_drop() {
     // byte-identical baseline runs have zero variance; the 2-sigma noise
     // band degenerates to "any difference", and the threshold alone decides
-    let db = MetricsDatabase::new();
-    for _ in 0..3 {
-        db.record(
-            "cts1",
-            "stream",
-            "openmp",
-            "m",
-            &[result("triad_bw", 100.0, "MB/s", ExperimentStatus::Success)],
-        );
-    }
-    db.record(
-        "cts1",
-        "stream",
-        "openmp",
-        "m",
-        &[result("triad_bw", 88.0, "MB/s", ExperimentStatus::Success)],
-    );
-    let report = detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.10).unwrap();
+    let ok = ExperimentStatus::Success;
+    let runs = [
+        triad(100.0, ok),
+        triad(100.0, ok),
+        triad(100.0, ok),
+        triad(88.0, ok),
+    ];
+    let report = detect_regression(&runs, "stream", "cts1", "triad_bw", true, 0.10).unwrap();
     assert_eq!(report.baseline_std, 0.0);
     assert!(report.regressed, "{}", report.render());
 }
 
 #[test]
 fn regression_quiet_on_identical_reruns() {
-    let db = MetricsDatabase::new();
-    for _ in 0..4 {
-        db.record(
-            "cts1",
-            "stream",
-            "openmp",
-            "m",
-            &[result("triad_bw", 100.0, "MB/s", ExperimentStatus::Success)],
-        );
-    }
-    let report = detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.10).unwrap();
+    let runs = vec![triad(100.0, ExperimentStatus::Success); 4];
+    let report = detect_regression(&runs, "stream", "cts1", "triad_bw", true, 0.10).unwrap();
     assert!(!report.regressed, "{}", report.render());
     assert_eq!(report.change, 0.0);
 }
 
 #[test]
 fn regression_ignores_failed_experiments() {
-    let db = MetricsDatabase::new();
-    db.record(
-        "cts1",
-        "stream",
-        "openmp",
-        "m",
-        &[result("triad_bw", 100.0, "MB/s", ExperimentStatus::Success)],
-    );
-    db.record(
-        "cts1",
-        "stream",
-        "openmp",
-        "m",
-        &[result("triad_bw", 100.0, "MB/s", ExperimentStatus::Success)],
-    );
-    // an all-failed sequence contributes nothing: still only 2 usable
-    // sequences, so no verdict
-    db.record(
-        "cts1",
-        "stream",
-        "openmp",
-        "m",
-        &[result("triad_bw", 1.0, "MB/s", ExperimentStatus::Failed)],
-    );
-    assert!(detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.10).is_none());
-    // one more success: the failed sequence is skipped, not treated as latest
-    db.record(
-        "cts1",
-        "stream",
-        "openmp",
-        "m",
-        &[result("triad_bw", 100.0, "MB/s", ExperimentStatus::Success)],
-    );
-    let report = detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.10).unwrap();
+    let ok = ExperimentStatus::Success;
+    // an all-failed run contributes nothing: still only 2 usable sequences,
+    // so no verdict
+    let mut runs = vec![
+        triad(100.0, ok),
+        triad(100.0, ok),
+        triad(1.0, ExperimentStatus::Failed),
+    ];
+    assert!(detect_regression(&runs, "stream", "cts1", "triad_bw", true, 0.10).is_none());
+    // one more success: the failed run is skipped, not treated as latest
+    runs.push(triad(100.0, ok));
+    let report = detect_regression(&runs, "stream", "cts1", "triad_bw", true, 0.10).unwrap();
     assert!(!report.regressed, "{}", report.render());
 }
 
@@ -297,18 +265,16 @@ fn units_heuristic_classifies_directions() {
 fn scan_inverts_direction_for_minutes_and_per_iteration_units() {
     // a walltime in `minutes` that doubles, and an `ms/op` cost that
     // doubles: both must be flagged as regressions, not improvements
+    let runs = |fom: &str, units: &str| -> Vec<RunRecord> {
+        [10.0, 10.0, 10.0, 20.0]
+            .map(|value| {
+                let walltime = result(fom, value, units, ExperimentStatus::Success);
+                run_of("cts1", "lulesh", walltime)
+            })
+            .to_vec()
+    };
     for units in ["minutes", "ms/op"] {
-        let db = MetricsDatabase::new();
-        for value in [10.0, 10.0, 10.0, 20.0] {
-            db.record(
-                "cts1",
-                "lulesh",
-                "openmp",
-                "m",
-                &[result("walltime", value, units, ExperimentStatus::Success)],
-            );
-        }
-        let reports = scan_regressions(&db, 0.10);
+        let reports = scan_regressions(&runs("walltime", units), 0.10);
         assert_eq!(reports.len(), 1);
         assert!(
             reports[0].regressed,
@@ -317,53 +283,28 @@ fn scan_inverts_direction_for_minutes_and_per_iteration_units() {
         );
     }
     // the same doubling in a throughput unit is an improvement
-    let db = MetricsDatabase::new();
-    for value in [10.0, 10.0, 10.0, 20.0] {
-        db.record(
-            "cts1",
-            "lulesh",
-            "openmp",
-            "m",
-            &[result("rate", value, "iter/s", ExperimentStatus::Success)],
-        );
-    }
-    let reports = scan_regressions(&db, 0.10);
+    let reports = scan_regressions(&runs("rate", "iter/s"), 0.10);
     assert_eq!(reports.len(), 1);
     assert!(!reports[0].regressed, "{}", reports[0].render());
 }
 
 #[test]
 fn scan_uses_units_to_infer_direction_and_skips_pipeline_telemetry() {
-    let db = MetricsDatabase::new();
+    let mut runs = Vec::new();
     // latency in `us`: an increase is a regression
     for value in [10.0, 10.0, 10.0, 25.0] {
-        db.record(
-            "cts1",
-            "osu-bcast",
-            "scaling",
-            "m",
-            &[result(
-                "avg_latency",
-                value,
-                "us",
-                ExperimentStatus::Success,
-            )],
-        );
+        let latency = result("avg_latency", value, "us", ExperimentStatus::Success);
+        runs.push(run_of("cts1", "osu-bcast", latency));
         // pipeline pseudo-benchmark history that would "regress" if scanned
-        db.record(
-            "cts1",
-            "benchpark-pipeline",
-            "telemetry",
-            "m",
-            &[result(
-                "obs.ledger.skipped",
-                value,
-                "count",
-                ExperimentStatus::Success,
-            )],
+        let skipped = result(
+            "obs.ledger.skipped",
+            value,
+            "count",
+            ExperimentStatus::Success,
         );
+        runs.push(run_of("cts1", "benchpark-pipeline", skipped));
     }
-    let reports = scan_regressions(&db, 0.10);
+    let reports = scan_regressions(&runs, 0.10);
     assert_eq!(reports.len(), 1, "pipeline telemetry must be excluded");
     assert_eq!(reports[0].fom, "avg_latency");
     assert!(reports[0].regressed, "{}", reports[0].render());
@@ -499,12 +440,9 @@ fn ledger_loads_mixed_schema123_with_absent_stage_timings() {
         load.runs[2].request.as_ref().map(|t| t.queue_wait_ticks),
         Some(2)
     );
-    // and the mixed file still answers history/regress queries: all three
-    // generations replay into the metrics database and the scan flags the
-    // 10% triad_bw drop across them
-    let db = load.to_database();
-    assert_eq!(db.len(), 3);
-    let scan = scan_regressions(&db, 0.05);
+    // and the mixed file still answers history/regress queries: the scan
+    // flags the 10% triad_bw drop across all three generations
+    let scan = scan_regressions(&load.runs, 0.05);
     assert!(
         scan.iter().any(|r| r.fom == "triad_bw"),
         "expected the cross-generation drop to be flagged: {scan:?}"
@@ -825,22 +763,27 @@ fn sharded_ledger_discovers_and_merges_per_tenant_shards() {
 // ---------------------------------------------------------------------------
 
 /// The per-triple series the scan used to re-query (and copy) from the
-/// database for every `(benchmark, system, fom)`.
+/// runs for every `(benchmark, system, fom)`, keyed by sequence point.
 fn reference_sequence_means(
-    db: &MetricsDatabase,
+    runs: &[RunRecord],
     benchmark: &str,
     system: &str,
     fom: &str,
 ) -> Vec<(u64, f64)> {
     let mut by_seq: std::collections::BTreeMap<u64, Vec<f64>> = Default::default();
-    for record in db.query(Some(benchmark), Some(system)) {
-        if record.result.status != ExperimentStatus::Success {
+    for (sequence, run) in (1u64..).zip(runs) {
+        if run.benchmark != benchmark || run.system != system {
             continue;
         }
-        for f in &record.result.foms {
-            if f.name == fom {
-                if let Some(v) = f.as_f64() {
-                    by_seq.entry(record.sequence).or_default().push(v);
+        for result in &run.results {
+            if result.status != ExperimentStatus::Success {
+                continue;
+            }
+            for f in &result.foms {
+                if f.name == fom {
+                    if let Some(v) = f.as_f64() {
+                        by_seq.entry(sequence).or_default().push(v);
+                    }
                 }
             }
         }
@@ -854,14 +797,14 @@ fn reference_sequence_means(
 
 /// The per-triple `detect_regression` the one-pass grouping replaced.
 fn reference_detect(
-    db: &MetricsDatabase,
+    runs: &[RunRecord],
     benchmark: &str,
     system: &str,
     fom: &str,
     higher_is_better: bool,
     threshold: f64,
 ) -> Option<RegressionReport> {
-    let means = reference_sequence_means(db, benchmark, system, fom);
+    let means = reference_sequence_means(runs, benchmark, system, fom);
     if means.len() < 3 {
         return None;
     }
@@ -882,23 +825,22 @@ fn reference_detect(
 }
 
 /// The per-triple `scan_regressions` the one-pass scan replaced.
-fn reference_scan(db: &MetricsDatabase, threshold: f64) -> Vec<RegressionReport> {
+fn reference_scan(runs: &[RunRecord], threshold: f64) -> Vec<RegressionReport> {
     let mut triples: std::collections::BTreeMap<(String, String, String), String> =
         Default::default();
-    for record in db.all() {
-        if record.benchmark == "benchpark-pipeline"
-            || record.result.status != ExperimentStatus::Success
-        {
+    for run in runs {
+        if run.benchmark == "benchpark-pipeline" {
             continue;
         }
-        for fom in &record.result.foms {
-            if fom.as_f64().is_some() {
-                let key = (
-                    record.benchmark.clone(),
-                    record.system.clone(),
-                    fom.name.clone(),
-                );
-                triples.insert(key, fom.units.clone());
+        for result in &run.results {
+            if result.status != ExperimentStatus::Success {
+                continue;
+            }
+            for fom in &result.foms {
+                if fom.as_f64().is_some() {
+                    let key = (run.benchmark.clone(), run.system.clone(), fom.name.clone());
+                    triples.insert(key, fom.units.clone());
+                }
             }
         }
     }
@@ -906,7 +848,7 @@ fn reference_scan(db: &MetricsDatabase, threshold: f64) -> Vec<RegressionReport>
         .into_iter()
         .filter_map(|((benchmark, system, fom), units)| {
             let higher_is_better = !lower_is_better_units(&units);
-            reference_detect(db, &benchmark, &system, &fom, higher_is_better, threshold)
+            reference_detect(runs, &benchmark, &system, &fom, higher_is_better, threshold)
         })
         .collect()
 }
@@ -934,16 +876,6 @@ const EQ_BENCHMARKS: [&str; 3] = ["stream", "amg2023", "benchpark-pipeline"];
 const EQ_SYSTEMS: [&str; 2] = ["cts1", "ats2"];
 const EQ_FOMS: [&str; 3] = ["bw", "time", "iters"];
 
-/// One analysis batch: recorded at the next sequence point, or imported at
-/// `sequence` (so sequence points can repeat and arrive out of order).
-#[derive(Debug, Clone)]
-struct Batch {
-    benchmark: &'static str,
-    system: &'static str,
-    sequence: u64,
-    results: Vec<ExperimentResult>,
-}
-
 fn eq_fom() -> impl proptest::strategy::Strategy<Value = FomValue> {
     use proptest::prelude::*;
     let value = prop_oneof![
@@ -963,7 +895,8 @@ fn eq_fom() -> impl proptest::strategy::Strategy<Value = FomValue> {
         })
 }
 
-fn eq_batch() -> impl proptest::strategy::Strategy<Value = Batch> {
+/// One run: one analysis batch, one sequence point.
+fn eq_run() -> impl proptest::strategy::Strategy<Value = RunRecord> {
     use proptest::prelude::*;
     let status = prop::sample::select(vec![
         ExperimentStatus::Success,
@@ -987,52 +920,11 @@ fn eq_batch() -> impl proptest::strategy::Strategy<Value = Batch> {
             "benchpark-pipeline",
         ]),
         prop::sample::select(vec!["cts1", "cts1", "ats2"]),
-        1u64..7,
         prop::collection::vec(result, 1..4),
     )
-        .prop_map(|(benchmark, system, sequence, results)| Batch {
-            benchmark,
-            system,
-            sequence,
-            results,
+        .prop_map(|(benchmark, system, results)| {
+            RunRecord::from_run(system, benchmark, "openmp", "m", &results, None)
         })
-}
-
-/// A database holding `batches`, recorded one sequence point per batch,
-/// or imported at each batch's own sequence point.
-fn eq_database(batches: &[Batch], imported: bool) -> MetricsDatabase {
-    use benchpark_yamlite::{emit, Map, Value};
-    let db = MetricsDatabase::new();
-    if !imported {
-        for b in batches {
-            db.record(b.system, b.benchmark, "openmp", "m", &b.results);
-        }
-        return db;
-    }
-    let mut records = Vec::new();
-    for b in batches {
-        for r in &b.results {
-            let mut rec = Map::new();
-            rec.insert("sequence", Value::Int(b.sequence as i64));
-            rec.insert("system", Value::str(b.system));
-            rec.insert("benchmark", Value::str(b.benchmark));
-            rec.insert("status", Value::str(format!("{:?}", r.status)));
-            let mut foms = Map::new();
-            for f in &r.foms {
-                let mut entry = Map::new();
-                entry.insert("value", Value::str(f.value.clone()));
-                entry.insert("units", Value::str(f.units.clone()));
-                foms.insert(&f.name, Value::Map(entry));
-            }
-            rec.insert("foms", Value::Map(foms));
-            records.push(Value::Map(rec));
-        }
-    }
-    let mut root = Map::new();
-    root.insert("benchpark_results", Value::Seq(records));
-    db.import_text(&emit(&Value::Map(root)))
-        .expect("generated export imports");
-    db
 }
 
 proptest::proptest! {
@@ -1045,20 +937,18 @@ proptest::proptest! {
     /// to several sequences.
     #[test]
     fn one_pass_scan_matches_the_per_triple_reference(
-        batches in proptest::prelude::prop::collection::vec(eq_batch(), 1..20),
-        imported in proptest::prelude::any::<bool>(),
+        runs in proptest::prelude::prop::collection::vec(eq_run(), 1..20),
         threshold in proptest::prelude::prop::sample::select(vec![0.0, 0.05, 0.10]),
     ) {
-        let db = eq_database(&batches, imported);
-        let got: Vec<ReportBits> = scan_regressions(&db, threshold).iter().map(report_bits).collect();
-        let want: Vec<ReportBits> = reference_scan(&db, threshold).iter().map(report_bits).collect();
+        let got: Vec<ReportBits> = scan_regressions(&runs, threshold).iter().map(report_bits).collect();
+        let want: Vec<ReportBits> = reference_scan(&runs, threshold).iter().map(report_bits).collect();
         proptest::prop_assert_eq!(got, want);
         for benchmark in EQ_BENCHMARKS {
             for system in EQ_SYSTEMS {
                 for fom in EQ_FOMS {
                     for higher_is_better in [true, false] {
-                        let got = detect_regression(&db, benchmark, system, fom, higher_is_better, threshold);
-                        let want = reference_detect(&db, benchmark, system, fom, higher_is_better, threshold);
+                        let got = detect_regression(&runs, benchmark, system, fom, higher_is_better, threshold);
+                        let want = reference_detect(&runs, benchmark, system, fom, higher_is_better, threshold);
                         proptest::prop_assert_eq!(got.as_ref().map(report_bits), want.as_ref().map(report_bits));
                     }
                 }
@@ -1074,27 +964,29 @@ proptest::proptest! {
 fn one_pass_scan_generator_covers_long_series_and_regressions() {
     use proptest::strategy::Strategy as _;
     let mut rng = proptest::test_runner::TestRng::from_seed(19);
-    let strategy = proptest::prelude::prop::collection::vec(eq_batch(), 1..20);
+    let strategy = proptest::prelude::prop::collection::vec(eq_run(), 1..20);
     let (mut regressed, mut lengths, mut unit_changes) = (0, [0usize; 6], 0);
     for _ in 0..256 {
-        let db = eq_database(&strategy.generate(&mut rng), false);
-        regressed += scan_regressions(&db, 0.05)
+        let runs = strategy.generate(&mut rng);
+        regressed += scan_regressions(&runs, 0.05)
             .iter()
             .filter(|r| r.regressed)
             .count();
         for b in EQ_BENCHMARKS {
             for s in EQ_SYSTEMS {
                 for f in EQ_FOMS {
-                    if let Some(n) = lengths.get_mut(reference_sequence_means(&db, b, s, f).len()) {
+                    if let Some(n) = lengths.get_mut(reference_sequence_means(&runs, b, s, f).len())
+                    {
                         *n += 1;
                     }
-                    let mut units: Vec<String> = db
-                        .query(Some(b), Some(s))
+                    let mut units: Vec<&str> = runs
                         .iter()
-                        .filter(|r| r.result.status == ExperimentStatus::Success)
-                        .flat_map(|r| r.result.foms.clone())
+                        .filter(|run| run.benchmark == b && run.system == s)
+                        .flat_map(|run| &run.results)
+                        .filter(|r| r.status == ExperimentStatus::Success)
+                        .flat_map(|r| &r.foms)
                         .filter(|x| x.name == f && x.as_f64().is_some())
-                        .map(|x| x.units)
+                        .map(|x| x.units.as_str())
                         .collect();
                     units.dedup();
                     unit_changes += (units.len() > 1) as usize;

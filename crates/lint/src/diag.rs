@@ -79,11 +79,12 @@ impl Diagnostic {
                     self.artifact, span.line, span.col
                 ));
                 if let Some(snippet) = &self.snippet {
+                    let (shown, caret) = snippet_window(snippet, span.col);
                     let no = span.line.to_string();
                     let pad = " ".repeat(no.len());
                     out.push_str(&format!("{pad} |\n"));
-                    out.push_str(&format!("{no} | {snippet}\n"));
-                    let caret_pad = " ".repeat(span.col.saturating_sub(1));
+                    out.push_str(&format!("{no} | {shown}\n"));
+                    let caret_pad = " ".repeat(caret);
                     out.push_str(&format!("{pad} | {caret_pad}^\n"));
                 }
             }
@@ -97,6 +98,40 @@ impl Diagnostic {
         }
         out
     }
+}
+
+/// The most characters of a source line that a rendered diagnostic echoes.
+/// A longer line is cut to this window around the caret, so one
+/// pathological line cannot grow a report without bound.
+const SNIPPET_WINDOW: usize = 120;
+
+/// The text of `line` that a rendered diagnostic echoes for the 1-based
+/// byte column `col`, and the caret's offset in characters within it. A
+/// line longer than [`SNIPPET_WINDOW`] characters is cut on character
+/// boundaries to a window around the caret, each cut marked `…`.
+fn snippet_window(line: &str, col: usize) -> (String, usize) {
+    let caret_byte = col.saturating_sub(1);
+    let caret = line
+        .char_indices()
+        .take_while(|&(i, _)| i < caret_byte)
+        .count();
+    let len = line.chars().count();
+    if len <= SNIPPET_WINDOW {
+        return (line.to_string(), caret);
+    }
+    let start = caret
+        .saturating_sub(SNIPPET_WINDOW / 2)
+        .min(len - SNIPPET_WINDOW);
+    let mut shown: String = line.chars().skip(start).take(SNIPPET_WINDOW).collect();
+    let mut caret = caret - start;
+    if start > 0 {
+        shown.insert(0, '…');
+        caret += 1;
+    }
+    if start + SNIPPET_WINDOW < len {
+        shown.push('…');
+    }
+    (shown, caret)
 }
 
 /// The outcome of a lint pass: every diagnostic, sorted for determinism.

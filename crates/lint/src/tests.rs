@@ -596,6 +596,38 @@ fn rendered_output_is_rustc_style() {
 }
 
 #[test]
+fn rendered_snippet_of_a_long_line_is_cut_around_the_caret() {
+    // two-byte characters on both sides of the caret's target, so both
+    // cuts fall between multi-byte characters
+    let line = format!("{}x{}", "é".repeat(100), "ü".repeat(100));
+    let at = |col: usize| crate::Diagnostic {
+        code: "BP0001",
+        severity: Severity::Error,
+        message: "could not parse artifact".to_string(),
+        artifact: "ramble.yaml".to_string(),
+        span: Some(benchpark_yamlite::Span::new(3, col)),
+        snippet: Some(line.clone()),
+        help: None,
+        notes: Vec::new(),
+    };
+
+    // the caret sits past the window's start: both ends are cut
+    let text = at("é".len() * 100 + 1).render();
+    let lines: Vec<&str> = text.lines().collect();
+    let shown = format!("3 | …{}x{}…", "é".repeat(60), "ü".repeat(59));
+    assert_eq!(lines[3], shown, "{text}");
+    let caret = lines[4].chars().position(|c| c == '^');
+    assert_eq!(caret, lines[3].chars().position(|c| c == 'x'), "{text}");
+
+    // the caret at the line's start: only the tail is cut
+    let text = at(1).render();
+    let lines: Vec<&str> = text.lines().collect();
+    let shown = format!("3 | {}x{}…", "é".repeat(100), "ü".repeat(19));
+    assert_eq!(lines[3], shown, "{text}");
+    assert_eq!(lines[4], "  | ^", "{text}");
+}
+
+#[test]
 fn json_output_carries_spans() {
     let report = lint(&[(
         ".gitlab-ci.yml",

@@ -6,17 +6,21 @@
 //! Six scheduled benchmarking epochs run on `cts1`. After epoch 4, a memory
 //! DIMM degrades (bandwidth halved on the machine). The regression detector
 //! flags the drop immediately, and the §5-style dashboard plot makes it
-//! visible. Finally the results are exported in the collaboration format and
-//! re-imported at "another center".
+//! visible. Finally the history is shared the way centers exchange results:
+//! appended to a ledger shard, which "another center" loads.
 //!
 //! ```text
 //! cargo run --example continuous_tracking
 //! ```
 
 use benchpark::cluster::FaultSpec;
-use benchpark::core::{ascii_plot, detect_regression, Benchpark, MetricsDatabase, SystemProfile};
+use benchpark::core::{
+    append_run, ascii_plot, detect_regression, render_dashboard, shard_path, usage_counts,
+    Benchpark, RunRecord, ShardedLedger, SystemProfile,
+};
+use benchpark::telemetry::TelemetrySink;
 
-fn run_epoch(db: &MetricsDatabase, epoch: usize, degrade: Option<f64>) {
+fn run_epoch(epoch: usize, degrade: Option<f64>) -> RunRecord {
     let benchpark = Benchpark::new();
     let mut machine = SystemProfile::cts1().machine();
     if let Some(factor) = degrade {
@@ -29,24 +33,25 @@ fn run_epoch(db: &MetricsDatabase, epoch: usize, degrade: Option<f64>) {
         .expect("setup");
     ws.run().expect("run");
     let analysis = ws.analyze(&benchpark).expect("analyze");
-    db.record(
+    RunRecord::from_run(
         "cts1",
         "stream",
         "openmp",
         &ws.manifest(),
         &analysis.results,
-    );
+        None,
+    )
 }
 
 fn main() {
-    let db = MetricsDatabase::new();
+    let mut runs = Vec::new();
 
     println!("running 6 scheduled benchmarking epochs on cts1…");
     for epoch in 1..=6 {
         // the DIMM fails before epoch 5
         let degrade = (epoch >= 5).then_some(0.5);
-        run_epoch(&db, epoch, degrade);
-        let verdict = detect_regression(&db, "stream", "cts1", "triad_bw", true, 0.10);
+        runs.push(run_epoch(epoch, degrade));
+        let verdict = detect_regression(&runs, "stream", "cts1", "triad_bw", true, 0.10);
         match verdict {
             Some(report) => println!("epoch {epoch}: {}", report.render()),
             None => println!("epoch {epoch}: gathering baseline…"),
@@ -54,18 +59,18 @@ fn main() {
     }
 
     // dashboard view: triad bandwidth at max threads, per epoch
-    let points: Vec<(f64, f64)> = db
-        .query(Some("stream"), Some("cts1"))
-        .into_iter()
-        .filter(|r| r.result.variables.get("n_threads").map(String::as_str) == Some("36"))
-        .filter_map(|r| {
+    let points: Vec<(f64, f64)> = runs
+        .iter()
+        .enumerate()
+        .flat_map(|(i, run)| run.results.iter().map(move |r| ((i + 1) as f64, r)))
+        .filter(|(_, r)| r.variables.get("n_threads").map(String::as_str) == Some("36"))
+        .filter_map(|(epoch, r)| {
             let y = r
-                .result
                 .foms
                 .iter()
                 .find(|f| f.name == "triad_bw")
                 .and_then(|f| f.as_f64())?;
-            Some((r.sequence as f64, y))
+            Some((epoch, y))
         })
         .collect();
     println!(
@@ -81,16 +86,23 @@ fn main() {
 
     println!(
         "benchmark usage (most exercised first): {:?}",
-        db.usage_counts()
+        usage_counts(&runs)
     );
 
-    // share the history with a collaborator (§5)
-    let exported = db.export_text();
-    let other_center = MetricsDatabase::new();
-    let imported = other_center.import_text(&exported).expect("import");
+    // share the history with a collaborator (§5): the ledger shard is the
+    // exchange format, and the other center loads the shard root
+    let root = std::env::temp_dir().join("benchpark-tracking-ledger");
+    let _ = std::fs::remove_dir_all(&root);
+    let shard = shard_path(&root, "center-a", "cts1");
+    std::fs::create_dir_all(shard.parent().expect("a shard has a tenant dir")).expect("mkdir");
+    for run in &mut runs {
+        append_run(&shard, run).expect("append");
+    }
+    let shared = ShardedLedger::load(&root, &TelemetrySink::noop()).expect("load shards");
     println!(
-        "\nexported {} results; the collaborating center imported {imported} and sees:",
-        db.len()
+        "\nappended {} runs to the center-a/cts1 ledger shard; the collaborating center loaded {} and sees:",
+        runs.len(),
+        shared.len()
     );
-    print!("{}", other_center.render_dashboard());
+    print!("{}", render_dashboard(&shared.merged.runs));
 }

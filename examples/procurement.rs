@@ -11,7 +11,7 @@
 //! cargo run --example procurement
 //! ```
 
-use benchpark::core::{MetricsDatabase, ProcurementStudy, SystemProfile, WorkloadSpec};
+use benchpark::core::{ProcurementStudy, SystemProfile, WorkloadSpec};
 
 fn main() {
     println!("=== Candidate systems ===");
@@ -41,10 +41,9 @@ fn main() {
     }
 
     let study = ProcurementStudy::new(workloads, &["cts1", "ats2", "ats4"]);
-    let db = MetricsDatabase::new();
     let base = std::env::temp_dir().join("benchpark-procurement");
     let _ = std::fs::remove_dir_all(&base);
-    let report = study.run(&base, &db).expect("study must run");
+    let report = study.run(&base).expect("study must run");
 
     println!("\n{}", report.render());
 
@@ -55,9 +54,4 @@ fn main() {
             m.fom_value, m.energy_kwh
         );
     }
-
-    println!(
-        "\n({} results stored with manifests in the metrics database)",
-        db.len()
-    );
 }

@@ -8,7 +8,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use benchpark::core::{render_table1, Benchpark, MetricsDatabase};
+use benchpark::core::{render_dashboard, render_table1, Benchpark, RunRecord};
 
 fn main() {
     // Steps 1–3: clone Benchpark, invoke the driver, instantiate substrates.
@@ -52,10 +52,16 @@ fn main() {
     print!("{}", analysis.render());
 
     // Store results with their manifest (paper §5).
-    let db = MetricsDatabase::new();
-    db.record("cts1", "saxpy", "openmp", &ws.manifest(), &analysis.results);
+    let run = RunRecord::from_run(
+        "cts1",
+        "saxpy",
+        "openmp",
+        &ws.manifest(),
+        &analysis.results,
+        None,
+    );
     println!("=== Metrics database ===");
-    print!("{}", db.render_dashboard());
+    print!("{}", render_dashboard(&[run]));
 
     println!("\n=== Workflow transcript (Figure 1c) ===");
     println!("{}", ws.log.render());

@@ -12,15 +12,14 @@
 //! ```
 
 use benchpark::cluster::BcastAlgorithm;
-use benchpark::core::{scaling, MetricsDatabase};
+use benchpark::core::scaling;
 
 fn main() {
-    let db = MetricsDatabase::new();
     let base = std::env::temp_dir().join("benchpark-scaling-study");
     let _ = std::fs::remove_dir_all(&base);
 
     println!("=== Figure 14: MPI_Bcast on CTS (linear broadcast) ===\n");
-    let linear = scaling::bcast_scaling_study("cts1", None, base.join("linear"), &db)
+    let linear = scaling::bcast_scaling_study("cts1", None, base.join("linear"))
         .expect("scaling study must run");
     print!("{}", linear.render());
     println!(
@@ -33,7 +32,6 @@ fn main() {
         "cts1",
         Some(BcastAlgorithm::BinomialTree),
         base.join("tree"),
-        &db,
     )
     .expect("ablation must run");
     print!("{}", tree.render());
@@ -43,7 +41,6 @@ fn main() {
         "cts1",
         Some(BcastAlgorithm::ScatterAllgather),
         base.join("sag"),
-        &db,
     )
     .expect("ablation must run");
     print!("{}", sag.render());
@@ -58,8 +55,4 @@ fn main() {
             linear.model.predict(p) / tree.model.predict(p).max(1e-12)
         );
     }
-    println!(
-        "\nmetrics database now holds {} results across all studies",
-        db.len()
-    );
 }

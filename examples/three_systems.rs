@@ -1,17 +1,17 @@
 //! Paper §4 demonstration: saxpy and AMG2023 built and run on all three
 //! systems — `cts1` (Intel Xeon, Slurm), `ats2` (Power9 + V100, LSF), and
 //! `ats4` (Trento + MI250X, Flux) — each with the programming model the
-//! system supports, everything recorded in one metrics database.
+//! system supports, every run kept as one ledger record.
 //!
 //! ```text
 //! cargo run --example three_systems
 //! ```
 
-use benchpark::core::{Benchpark, MetricsDatabase, SystemProfile};
+use benchpark::core::{render_dashboard, Benchpark, RunRecord, SystemProfile};
 
 fn main() {
     let benchpark = Benchpark::new();
-    let db = MetricsDatabase::new();
+    let mut runs = Vec::new();
     let base = std::env::temp_dir().join("benchpark-three-systems");
     let _ = std::fs::remove_dir_all(&base);
 
@@ -48,13 +48,6 @@ fn main() {
             .unwrap_or_else(|e| panic!("{benchmark} on {system}: {e}"));
         ws.run().expect("runs succeed");
         let analysis = ws.analyze(&benchpark).expect("analysis succeeds");
-        db.record(
-            system,
-            benchmark,
-            variant,
-            &ws.manifest(),
-            &analysis.results,
-        );
         for result in &analysis.results {
             let foms: Vec<String> = result
                 .foms
@@ -69,15 +62,24 @@ fn main() {
                 foms.join("  ")
             );
         }
+        runs.push(RunRecord::from_run(
+            system,
+            benchmark,
+            variant,
+            &ws.manifest(),
+            &analysis.results,
+            None,
+        ));
     }
 
     // the GPU systems should show (much) higher AMG solve FOMs
     println!("\n=== AMG2023 solve FOM by system (higher is better) ===");
     for system in ["cts1", "ats2", "ats4"] {
-        let records = db.query(Some("amg2023"), Some(system));
-        let best: f64 = records
+        let best: f64 = runs
             .iter()
-            .flat_map(|r| r.result.foms.iter())
+            .filter(|run| run.benchmark == "amg2023" && run.system == system)
+            .flat_map(|run| &run.results)
+            .flat_map(|r| r.foms.iter())
             .filter(|f| f.name == "solve_fom")
             .filter_map(|f| f.as_f64())
             .fold(0.0, f64::max);
@@ -85,5 +87,5 @@ fn main() {
     }
 
     println!("\n=== Dashboard ===");
-    print!("{}", db.render_dashboard());
+    print!("{}", render_dashboard(&runs));
 }

@@ -365,8 +365,7 @@ pub fn run_suite(config: &SuiteConfig, mut progress: impl FnMut(&str)) -> BenchR
         group: "ledger",
         iters: 1,
         routine: Box::new(|| {
-            let db = ledger_load.to_database();
-            black_box(scan_regressions(&db, 0.05));
+            black_box(scan_regressions(&ledger_load.runs, 0.05));
         }),
     });
     benches.push(BenchDef {

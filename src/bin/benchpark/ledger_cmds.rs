@@ -110,10 +110,10 @@ pub fn cmd_fingerprints(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `benchpark regress <ledger.jsonl|shard-root> [--threshold P]` — replays
-/// the ledger into a metrics database and scans every (benchmark, system,
-/// FOM) triple for regressions, directions inferred from FOM units. Exits
-/// non-zero when any triple regressed.
+/// `benchpark regress <ledger.jsonl|shard-root> [--threshold P]` — scans
+/// every (benchmark, system, FOM) triple of the loaded runs for
+/// regressions, directions inferred from FOM units. Exits non-zero when any
+/// triple regressed.
 ///
 /// `benchpark regress --bench <BENCH.json>... [--threshold P]` — the same
 /// statistical gate applied to the repository's own bench trajectory: the
@@ -163,8 +163,7 @@ pub fn cmd_regress(args: &[String]) -> Result<(), String> {
     if load.runs.is_empty() {
         return Err(format!("ledger `{ledger}` holds no readable runs"));
     }
-    let db = load.to_database();
-    let reports = scan_regressions(&db, threshold);
+    let reports = scan_regressions(&load.runs, threshold);
     if reports.is_empty() {
         println!(
             "no FOM has enough history for a verdict ({} run(s) loaded; need >= 3 with successes)",

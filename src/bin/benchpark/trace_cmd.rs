@@ -1,7 +1,7 @@
 //! `benchpark trace` — the one-shot instrumented pipeline, built on the
 //! same staged setup → execute → collect path the serve daemon schedules.
 
-use benchpark::core::{gate_failed_experiments, load_ledger, Benchpark, MetricsDatabase};
+use benchpark::core::{gate_failed_experiments, load_ledger, Benchpark};
 use benchpark::telemetry::TelemetrySink;
 use std::path::Path;
 
@@ -134,17 +134,7 @@ pub fn cmd_trace(args: &[String]) -> Result<(), String> {
         spec = spec.with_template(template);
     }
     let collected = benchpark.run_request(&spec, index.as_ref(), force)?;
-
-    let db = MetricsDatabase::new();
-    db.record(
-        system,
-        benchmark,
-        variant,
-        &collected.manifest,
-        &collected.results,
-    );
     let report = sink.report().expect("recording sink has a report");
-    db.record_telemetry(system, &report);
 
     if let Some(dir) = &export {
         let dir = Path::new(dir);
@@ -195,11 +185,6 @@ pub fn cmd_trace(args: &[String]) -> Result<(), String> {
         }
         println!();
         print!("{}", report.render());
-        println!(
-            "\nrecorded {} telemetry FOMs into the metrics database alongside {} benchmark results",
-            report.counters.len() + report.observations.len(),
-            collected.results.len()
-        );
     }
     gate_failed_experiments(&collected.results, allow_failed)
 }

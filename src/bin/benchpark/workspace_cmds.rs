@@ -3,7 +3,8 @@
 
 use benchpark::cluster::BcastAlgorithm;
 use benchpark::core::{
-    available_experiments, scaling, write_skeleton, Benchpark, MetricsDatabase, SystemProfile,
+    available_experiments, render_dashboard, scaling, write_skeleton, Benchpark, RunRecord,
+    SystemProfile,
 };
 
 pub fn cmd_list(what: Option<&str>) -> Result<(), String> {
@@ -64,15 +65,15 @@ pub fn cmd_workspace(args: &[String], run: bool) -> Result<(), String> {
     ws.run().map_err(|e| e.to_string())?;
     let analysis = ws.analyze(&benchpark).map_err(|e| e.to_string())?;
     println!("\n{}", analysis.render());
-    let db = MetricsDatabase::new();
-    db.record(
+    let record = RunRecord::from_run(
         system,
         benchmark,
         variant,
         &ws.manifest(),
         &analysis.results,
+        None,
     );
-    print!("{}", db.render_dashboard());
+    print!("{}", render_dashboard(&[record]));
     Ok(())
 }
 
@@ -104,8 +105,7 @@ pub fn cmd_fig14(algorithm: Option<&str>) -> Result<(), String> {
     };
     let dir = std::env::temp_dir().join("benchpark-cli-fig14");
     let _ = std::fs::remove_dir_all(&dir);
-    let db = MetricsDatabase::new();
-    let study = scaling::bcast_scaling_study("cts1", algorithm, dir, &db)?;
+    let study = scaling::bcast_scaling_study("cts1", algorithm, dir)?;
     print!("{}", study.render());
     Ok(())
 }

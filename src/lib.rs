@@ -23,7 +23,7 @@
 //! * [`obs`] — telemetry exporters: Chrome trace JSON, folded flamegraphs,
 //!   Prometheus text exposition.
 //! * [`resilience`] — retry policies, circuit breakers, and seeded fault injection.
-//! * [`core`] — the Benchpark driver: systems, suites, metrics database, reports.
+//! * [`core`] — the Benchpark driver: systems, suites, the run ledger, reports.
 //! * [`serve`] — the multi-tenant service: submission queue, deficit
 //!   round-robin scheduler, admission control, sharded ledgers
 //!   (see `docs/SERVICE.md`).

@@ -1,7 +1,9 @@
 //! Integration: the §4 demonstration matrix, widened — every shipped
 //! experiment template on every system that supports it.
 
-use benchpark::core::{available_experiments, Benchpark, MetricsDatabase, SystemProfile};
+use benchpark::core::{
+    available_experiments, render_dashboard, usage_counts, Benchpark, RunRecord, SystemProfile,
+};
 use benchpark::ramble::ExperimentStatus;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -25,7 +27,7 @@ fn systems_for(benchmark: &str, variant: &str) -> Vec<&'static str> {
 #[test]
 fn every_experiment_runs_on_every_supporting_system() {
     let benchpark = Benchpark::new();
-    let db = MetricsDatabase::new();
+    let mut runs = Vec::new();
     let mut total = 0usize;
     for (benchmark, variant) in available_experiments() {
         for system in systems_for(benchmark, variant) {
@@ -51,13 +53,14 @@ fn every_experiment_runs_on_every_supporting_system() {
                     result.experiment
                 );
             }
-            db.record(
+            runs.push(RunRecord::from_run(
                 system,
                 benchmark,
                 variant,
                 &ws.manifest(),
                 &analysis.results,
-            );
+                None,
+            ));
             total += analysis.results.len();
         }
     }
@@ -65,10 +68,11 @@ fn every_experiment_runs_on_every_supporting_system() {
         total >= 45,
         "the matrix should produce many results, got {total}"
     );
-    assert_eq!(db.len(), total);
+    let counted: usize = usage_counts(&runs).iter().map(|(_, n)| n).sum();
+    assert_eq!(counted, total);
 
     // the dashboard covers every benchmark
-    let dashboard = db.render_dashboard();
+    let dashboard = render_dashboard(&runs);
     for (benchmark, _) in available_experiments() {
         assert!(
             dashboard.contains(benchmark),

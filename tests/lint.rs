@@ -198,18 +198,30 @@ fn lint_reports_deep_nesting_instead_of_crashing() {
         "]".repeat(levels)
     );
     fs::write(dir.join("ramble.yaml"), yaml).unwrap();
-    let output = Command::new(env!("CARGO_BIN_EXE_benchpark"))
-        .arg("lint")
-        .arg(&dir)
-        .args(["--format", "json"])
-        .output()
-        .expect("benchpark binary runs");
+    let lint = |format: &str| {
+        Command::new(env!("CARGO_BIN_EXE_benchpark"))
+            .arg("lint")
+            .arg(&dir)
+            .args(["--format", format])
+            .output()
+            .expect("benchpark binary runs")
+    };
+    let (json, text) = (lint("json"), lint("text"));
     let _ = fs::remove_dir_all(&dir);
-    assert_eq!(output.status.code(), Some(1), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(json.status.code(), Some(1), "{json:?}");
+    let stdout = String::from_utf8_lossy(&json.stdout);
     let message = format!("nesting deeper than {MAX_JSON_DEPTH}");
     assert!(
         stdout.contains(r#""code": "BP0001""#) && stdout.contains(&message),
+        "{stdout}"
+    );
+    // the text report echoes a window of the 400,000-character line, not
+    // all of it
+    assert_eq!(text.status.code(), Some(1), "{text:?}");
+    assert!(text.stdout.len() < 4096, "{} bytes", text.stdout.len());
+    let stdout = String::from_utf8_lossy(&text.stdout);
+    assert!(
+        stdout.contains("error[BP0001]") && stdout.contains("ramble.yaml:3:"),
         "{stdout}"
     );
 }

@@ -45,8 +45,7 @@ fn history_digest(runs: &[RunRecord]) -> String {
 /// The full regression-scan verdict, rendered — byte-equal verdicts mean
 /// `benchpark regress` prints the same thing and exits the same way.
 fn regress_digest(load: &benchpark::core::LedgerLoad) -> String {
-    let db = load.to_database();
-    scan_regressions(&db, 0.05)
+    scan_regressions(&load.runs, 0.05)
         .iter()
         .map(|report| format!("{}\n", report.render()))
         .collect()
