@@ -55,8 +55,6 @@ pub struct BenchparkExecutor<'a> {
     /// When set, job attempts fail at the runner level (before any script
     /// line executes) with the injector's probability.
     runner_faults: Option<FaultInjector>,
-    /// Retry policy applied to binary-cache fetches inside `spack install`.
-    cache_retry: Option<RetryPolicy>,
 }
 
 impl<'a> BenchparkExecutor<'a> {
@@ -71,7 +69,6 @@ impl<'a> BenchparkExecutor<'a> {
             install_opts: InstallOptions::default(),
             telemetry: TelemetrySink::noop(),
             runner_faults: None,
-            cache_retry: None,
         }
     }
 
@@ -82,13 +79,6 @@ impl<'a> BenchparkExecutor<'a> {
     /// same cluster work and converges to the fault-free result.
     pub fn inject_runner_faults(&mut self, injector: FaultInjector) {
         self.runner_faults = Some(injector);
-    }
-
-    /// Retries flaky binary-cache fetches during `spack install` script
-    /// lines under `policy` (see [`Installer::with_retry_policy`]).
-    pub fn with_cache_retry(mut self, policy: RetryPolicy) -> BenchparkExecutor<'a> {
-        self.cache_retry = Some(policy);
-        self
     }
 
     /// Routes executor telemetry (concretize/install instrumentation, cluster
@@ -125,13 +115,10 @@ impl<'a> BenchparkExecutor<'a> {
                 return false;
             }
         };
-        let mut installer = Installer::new(self.pkg_repo)
+        let installer = Installer::new(self.pkg_repo)
             .with_database(self.db.clone())
             .with_cache(self.cache.clone())
             .with_telemetry(self.telemetry.clone());
-        if let Some(policy) = &self.cache_retry {
-            installer = installer.with_retry_policy(policy.clone());
-        }
         let report = installer.install(&dag, &self.install_opts);
         for result in &report.results {
             log.push_str(&format!(

@@ -113,11 +113,6 @@ impl Repository {
         self.commits.get(self.branches.get(branch)?)
     }
 
-    /// A commit by hash.
-    pub fn commit_by_hash(&self, hash: &str) -> Option<&Commit> {
-        self.commits.get(hash)
-    }
-
     /// File content at a branch head.
     pub fn read(&self, branch: &str, path: &str) -> Option<&str> {
         let commit = self.head(branch)?;

@@ -206,11 +206,6 @@ impl Hub {
             .ok_or_else(|| format!("no PR #{number}"))
     }
 
-    /// Open PRs.
-    pub fn open_prs(&self) -> impl Iterator<Item = &PullRequest> {
-        self.prs.iter().filter(|p| p.state == PrState::Open)
-    }
-
     /// Merges an approved, green PR into the canonical repository.
     pub fn merge(&mut self, canonical: &str, number: u64) -> Result<(), String> {
         let (head, source_repo, target, approved, green) = {

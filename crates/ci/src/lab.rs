@@ -94,16 +94,6 @@ impl Pipeline {
             PipelineState::Pending
         }
     }
-
-    /// Jobs of one stage, in declaration order.
-    pub fn stage_jobs(&mut self, stage: &str) -> Vec<usize> {
-        self.jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.stage == stage)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// The GitLab-like service.

@@ -35,11 +35,6 @@ impl NetworkModel {
     pub fn ptp_seconds(&self, bytes: u64) -> f64 {
         self.latency_us * 1e-6 + bytes as f64 / (self.bandwidth_gb_s * 1e9)
     }
-
-    /// Broadcast completion time for `bytes` across `p` ranks, seconds.
-    pub fn bcast_seconds(&self, p: usize, bytes: u64) -> f64 {
-        CollectiveModel::new(self).bcast(self.bcast, p, bytes)
-    }
 }
 
 /// Collective cost calculator over a network model.

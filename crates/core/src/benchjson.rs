@@ -304,6 +304,19 @@ pub fn format_ns(ns: f64) -> String {
 /// Verdicts are sorted by name; `history` needs at least two reports for
 /// any verdict to exist.
 pub fn compare_bench_reports(history: &[&BenchReport], threshold: f64) -> Vec<BenchComparison> {
+    let unscaled = vec![1.0; history.len().saturating_sub(1)];
+    compare_with_bases(history, &unscaled, threshold)
+}
+
+/// The per-bench loop of both comparisons: the baseline report at index
+/// `i` has its medians divided by `bases[i]` (1.0 for the absolute gate,
+/// which leaves them exact) before the latest report is judged against
+/// them.
+fn compare_with_bases(
+    history: &[&BenchReport],
+    bases: &[f64],
+    threshold: f64,
+) -> Vec<BenchComparison> {
     let Some((latest, baseline_reports)) = history.split_last() else {
         return Vec::new();
     };
@@ -311,8 +324,8 @@ pub fn compare_bench_reports(history: &[&BenchReport], threshold: f64) -> Vec<Be
     for record in &latest.results {
         let baseline: Vec<f64> = baseline_reports
             .iter()
-            .filter_map(|r| r.result(&record.name))
-            .map(|r| r.median_ns)
+            .zip(bases)
+            .filter_map(|(r, basis)| r.result(&record.name).map(|b| b.median_ns / basis))
             .collect();
         if baseline.is_empty() {
             continue;
@@ -434,33 +447,7 @@ pub fn compare_bench_reports_calibrated(
         .iter()
         .map(|r| ln_speed_basis(r, latest, &common).exp())
         .collect();
-    let mut out = Vec::new();
-    for record in &latest.results {
-        let baseline: Vec<f64> = baseline_reports
-            .iter()
-            .zip(&bases)
-            .filter_map(|(r, basis)| r.result(&record.name).map(|b| b.median_ns / basis))
-            .collect();
-        if baseline.is_empty() {
-            continue;
-        }
-        let higher_is_better = !lower_is_better_units(&record.units);
-        let verdict = baseline_verdict(&baseline, record.median_ns, higher_is_better, threshold);
-        let improved = verdict.change > threshold && verdict.beyond_noise;
-        out.push(BenchComparison {
-            name: record.name.clone(),
-            group: record.group.clone(),
-            baseline_ns: verdict.baseline_mean,
-            baseline_std_ns: verdict.baseline_std,
-            latest_ns: record.median_ns,
-            change: verdict.change,
-            regressed: verdict.regressed,
-            improved,
-            history_len: baseline.len(),
-        });
-    }
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
+    compare_with_bases(history, &bases, threshold)
 }
 
 /// Today's UTC date as `YYYY-MM-DD`, from the system clock.

@@ -4,8 +4,6 @@ use crate::fingerprint::{Fingerprint, FingerprintBuilder, FingerprintIndex};
 use crate::systems::SystemProfile;
 use crate::templates::experiment_template;
 use benchpark_cluster::{AppModelFn, BinaryInfo, Cluster, FaultPlan, Machine, ProgrammingModel};
-use benchpark_concretizer::Concretizer;
-use benchpark_engine::{Engine, TaskGraph, TaskStatus};
 use benchpark_pkg::{AppRepo, Repo};
 use benchpark_ramble::ExperimentResult;
 use benchpark_ramble::{AnalyzeReport, RambleError, RunOutput, SetupReport, Workspace};
@@ -45,8 +43,7 @@ pub struct Benchpark {
     site_cache: BinaryCache,
     /// Transient faults injected into every workspace this driver sets up.
     fault_plan: Option<FaultPlan>,
-    /// Parallel build jobs for installs, and the worker-pool width for
-    /// [`Benchpark::run_fleet`].
+    /// Parallel build jobs for every install this driver runs.
     jobs: usize,
 }
 
@@ -71,10 +68,10 @@ impl Benchpark {
         }
     }
 
-    /// Sets the parallel job count: `-j` for every install this driver runs
-    /// and the worker-pool width of [`Benchpark::run_fleet`]. Clamped to at
-    /// least one. Reports stay byte-identical across job counts for the
-    /// outcomes (FOMs, job states); only virtual makespans change.
+    /// Sets the parallel job count: `-j` for every install this driver runs.
+    /// Clamped to at least one. Reports stay byte-identical across job
+    /// counts for the outcomes (FOMs, job states); only virtual makespans
+    /// change.
     pub fn with_jobs(mut self, jobs: usize) -> Benchpark {
         self.jobs = jobs.max(1);
         self
@@ -270,9 +267,13 @@ impl Benchpark {
         );
 
         // steps 5–7: ramble workspace setup (spack builds + script rendering)
-        let site = profile.site_config();
         let report = workspace
-            .setup(&self.repo, &self.app_repo, &site, &self.install_options())
+            .setup(
+                &self.repo,
+                &self.app_repo,
+                &profile.site_config(),
+                &self.install_options(),
+            )
             .map_err(|e| e.to_string())?;
         log.step(
             5,
@@ -318,28 +319,25 @@ impl Benchpark {
         // concrete DAG hash (folds in recipes, variants, versions, and
         // dependency resolution) and the application definition text
         let mut concrete_inputs: Vec<(String, String, String)> = Vec::new();
-        for (app_name, _) in workspace
-            .config()
-            .expect("config set above")
-            .applications
-            .clone()
-        {
+        let config = workspace.config().expect("config set above");
+        for app_name in config.applications.keys() {
             let app = self
                 .app_repo
-                .get(&app_name)
+                .get(app_name)
                 .ok_or_else(|| format!("unknown application `{app_name}`"))?;
-            let spec_text = workspace
-                .config()
-                .expect("config set")
+            let spec_text = config
                 .resolved_spec(&app.software)
                 .map_err(|e| e.to_string())?;
-            let abstract_spec: benchpark_spec::Spec =
-                spec_text.parse().map_err(|e| format!("{e}"))?;
-            let dag = Concretizer::new(&self.repo, &site)
-                .with_telemetry(self.telemetry.clone())
-                .concretize(&abstract_spec)
-                .map_err(|e| e.to_string())?;
-            cluster_installer.install(&dag, &self.install_options());
+            // the DAG the environment locked and built is the one the
+            // cluster fetches and the fingerprint names (§3.1)
+            let dag = report
+                .lockfiles
+                .values()
+                .find_map(|lockfile| lockfile.get(&spec_text))
+                .ok_or_else(|| {
+                    format!("application `{app_name}`: no environment builds `{spec_text}`")
+                })?;
+            cluster_installer.install(dag, &self.install_options());
             concrete_inputs.push((
                 app_name.clone(),
                 dag.dag_hash().to_string(),
@@ -522,57 +520,6 @@ impl Benchpark {
         let executed = self.stage_execute(&mut staged)?;
         Ok(self.stage_collect(staged, executed))
     }
-
-    /// Runs a fleet of experiments — each a full setup → run → analyze
-    /// pipeline on its own system and workspace directory — through the
-    /// shared execution engine's worker pool, `jobs` wide (see
-    /// [`Benchpark::with_jobs`]). Experiments on independent systems execute
-    /// concurrently; results come back in input order. The workspace
-    /// directories must be distinct.
-    ///
-    /// Outcomes are deterministic in the fleet definition: FOMs, job states,
-    /// and analyze reports are identical for any worker count, including
-    /// under an active fault plan (each cluster draws its faults from the
-    /// plan's seed, never from thread timing).
-    pub fn run_fleet(&self, fleet: &[FleetExperiment]) -> Result<Vec<FleetOutcome>, String> {
-        let _fleet_span = self.telemetry.span("pipeline.fleet");
-        let mut graph = TaskGraph::new();
-        for (idx, exp) in fleet.iter().enumerate() {
-            graph
-                .add_task(
-                    &format!("{}/{}@{}", exp.benchmark, exp.variant, exp.system),
-                    idx,
-                    1.0,
-                )
-                .map_err(|e| e.to_string())?;
-        }
-        let report = Engine::new(self.jobs)
-            .with_telemetry(self.telemetry.clone())
-            .run_pool(&graph, |task, _ctx| {
-                let exp = &fleet[task.payload];
-                let spec = RunSpec::new(
-                    &exp.benchmark,
-                    &exp.variant,
-                    &exp.system,
-                    &exp.workspace_dir,
-                );
-                let collected = self.run_request(&spec, None, false)?;
-                Ok(FleetOutcome::from(collected))
-            })
-            .map_err(|e| e.to_string())?;
-        report
-            .tasks
-            .into_iter()
-            .map(|task| match task.status {
-                TaskStatus::Success => Ok(task.output.expect("successful task has output")),
-                _ => Err(format!(
-                    "fleet experiment `{}` failed: {}",
-                    task.key,
-                    task.error.unwrap_or_else(|| "skipped".to_string())
-                )),
-            })
-            .collect()
-    }
 }
 
 /// One experiment request, driver-agnostic: what to run and where. The
@@ -655,12 +602,6 @@ impl CollectedRun {
         self.plan.as_ref().map_or(0, |p| p.hits)
     }
 
-    /// True when a consulted cache satisfied every experiment (nothing was
-    /// measured, so there is nothing to persist).
-    pub fn all_cached(&self) -> bool {
-        self.plan.as_ref().is_some_and(IncrementalPlan::all_cached)
-    }
-
     /// The ledger record of this run's *fresh* measurements, stamped with
     /// their fingerprints — or `None` when a consulted cache satisfied
     /// everything (spliced results never re-enter the ledger; it is a
@@ -690,45 +631,6 @@ impl CollectedRun {
             .with_fingerprints(fingerprints),
         )
     }
-}
-
-impl From<CollectedRun> for FleetOutcome {
-    fn from(collected: CollectedRun) -> FleetOutcome {
-        FleetOutcome {
-            benchmark: collected.benchmark,
-            variant: collected.variant,
-            system: collected.system,
-            fingerprints: collected.fingerprints,
-            analysis: AnalyzeReport {
-                results: collected.results,
-            },
-            log: collected.log,
-        }
-    }
-}
-
-/// One experiment of a [`Benchpark::run_fleet`] fan-out.
-#[derive(Debug, Clone)]
-pub struct FleetExperiment {
-    pub benchmark: String,
-    pub variant: String,
-    pub system: String,
-    /// Workspace directory for this experiment (must be unique per entry).
-    pub workspace_dir: PathBuf,
-}
-
-/// What one fleet experiment produced.
-#[derive(Debug, Clone)]
-pub struct FleetOutcome {
-    pub benchmark: String,
-    pub variant: String,
-    pub system: String,
-    /// Content-addressed fingerprint per experiment, from setup.
-    pub fingerprints: BTreeMap<String, Fingerprint>,
-    /// FOMs and success criteria extracted by `ramble workspace analyze`.
-    pub analysis: AnalyzeReport,
-    /// The nine-step workflow transcript of this experiment.
-    pub log: WorkflowLog,
 }
 
 /// A ready-to-run Benchpark workspace bound to a simulated cluster.
@@ -804,10 +706,10 @@ impl BenchparkWorkspace {
             "benchmark: {}/{}\nsystem: {}\n",
             self.benchmark, self.variant, self.system.name
         );
-        for (env, specs) in &self.setup_report.environment_specs {
+        for (env, lockfile) in &self.setup_report.lockfiles {
             out.push_str(&format!("environment {env}:\n"));
-            for spec in specs {
-                out.push_str(&format!("  - {spec}\n"));
+            for (root, _) in &lockfile.roots {
+                out.push_str(&format!("  - {root}\n"));
             }
         }
         out

@@ -50,8 +50,8 @@ pub use benchjson::{
 };
 pub use components::{render_table1, table1, Table1Row};
 pub use driver::{
-    gate_failed_experiments, Benchpark, BenchparkWorkspace, CollectedRun, FleetExperiment,
-    FleetOutcome, IncrementalPlan, RunSpec, StagedRun, WorkflowLog,
+    gate_failed_experiments, Benchpark, BenchparkWorkspace, CollectedRun, IncrementalPlan, RunSpec,
+    StagedRun, WorkflowLog,
 };
 pub use fingerprint::{CachedExperiment, Fingerprint, FingerprintBuilder, FingerprintIndex};
 pub use ledger::{

@@ -7,12 +7,42 @@ use crate::{
 };
 use benchpark_cluster::BcastAlgorithm;
 use benchpark_ramble::ExperimentStatus;
+use std::path::{Path, PathBuf};
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("benchpark-core-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// A scratch path `<temp>/<name>-<pid>`, cleared when made and removed
+/// when dropped, also when the test panics. Bind it for as long as the
+/// directory is in use.
+pub(crate) struct TempDir(PathBuf);
+
+impl TempDir {
+    pub(crate) fn new(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("benchpark-core-test-{tag}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -74,8 +104,9 @@ fn all_templates_parse() {
 #[test]
 fn golden_fig1c_nine_step_workflow() {
     let benchpark = Benchpark::new();
+    let dir = temp_dir("fig1c");
     let mut ws = benchpark
-        .setup_workspace("saxpy", "openmp", "cts1", temp_dir("fig1c"))
+        .setup_workspace("saxpy", "openmp", "cts1", &dir)
         .unwrap();
     // Figure 10 expansion: 8 experiments
     assert_eq!(ws.setup_report.experiments.len(), 8);
@@ -115,13 +146,9 @@ fn demo_matrix_benchmarks_times_systems() {
     ];
     let benchpark = Benchpark::new();
     for (benchmark, variant, system) in combos {
+        let dir = temp_dir(&format!("{benchmark}-{variant}-{system}"));
         let mut ws = benchpark
-            .setup_workspace(
-                benchmark,
-                variant,
-                system,
-                temp_dir(&format!("{benchmark}-{variant}-{system}")),
-            )
+            .setup_workspace(benchmark, variant, system, &dir)
             .unwrap_or_else(|e| panic!("{benchmark}/{variant} on {system}: {e}"));
         ws.run().unwrap();
         let analysis = ws.analyze(&benchpark).unwrap();
@@ -145,8 +172,9 @@ fn demo_matrix_benchmarks_times_systems() {
 fn scheduler_dialects_render_correctly() {
     let benchpark = Benchpark::new();
     // LSF on ats2
+    let dir = temp_dir("lsf");
     let ws = benchpark
-        .setup_workspace("saxpy", "cuda", "ats2", temp_dir("lsf"))
+        .setup_workspace("saxpy", "cuda", "ats2", &dir)
         .unwrap();
     let script = ws.workspace.script("saxpy_cuda_16384_1_4").unwrap();
     assert!(script.contains("#BSUB -nnodes 1"), "{script}");
@@ -156,8 +184,9 @@ fn scheduler_dialects_render_correctly() {
     );
 
     // Flux on ats4
+    let dir = temp_dir("flux");
     let ws = benchpark
-        .setup_workspace("saxpy", "rocm", "ats4", temp_dir("flux"))
+        .setup_workspace("saxpy", "rocm", "ats4", &dir)
         .unwrap();
     let script = ws.workspace.script("saxpy_rocm_16384_1_4").unwrap();
     assert!(script.contains("#flux: -N 1"), "{script}");
@@ -170,11 +199,13 @@ fn scheduler_dialects_render_correctly() {
 #[test]
 fn unknown_inputs_rejected() {
     let benchpark = Benchpark::new();
+    let dir = temp_dir("bad1");
     assert!(benchpark
-        .setup_workspace("saxpy", "openmp", "summit", temp_dir("bad1"))
+        .setup_workspace("saxpy", "openmp", "summit", &dir)
         .is_err());
+    let dir = temp_dir("bad2");
     assert!(benchpark
-        .setup_workspace("hpl", "openmp", "cts1", temp_dir("bad2"))
+        .setup_workspace("hpl", "openmp", "cts1", &dir)
         .is_err());
 }
 
@@ -185,8 +216,9 @@ fn unknown_inputs_rejected() {
 #[test]
 fn run_queries_answer_series_usage_and_dashboard() {
     let benchpark = Benchpark::new();
+    let dir = temp_dir("metrics");
     let mut ws = benchpark
-        .setup_workspace("stream", "openmp", "cts1", temp_dir("metrics"))
+        .setup_workspace("stream", "openmp", "cts1", &dir)
         .unwrap();
     ws.run().unwrap();
     let analysis = ws.analyze(&benchpark).unwrap();
@@ -279,7 +311,8 @@ fn tree_and_skeleton() {
 /// `-0.636 + 0.0466·p¹`.
 #[test]
 fn golden_fig14_extrap_model_on_cts() {
-    let study = scaling::bcast_scaling_study("cts1", None, temp_dir("fig14")).unwrap();
+    let dir = temp_dir("fig14");
+    let study = scaling::bcast_scaling_study("cts1", None, &dir).unwrap();
     assert_eq!(study.points.len(), 8);
     assert_eq!(study.algorithm, BcastAlgorithm::Linear);
     assert_eq!(
@@ -299,12 +332,9 @@ fn golden_fig14_extrap_model_on_cts() {
 /// Ablation A4: a binomial-tree broadcast fits a logarithmic model instead.
 #[test]
 fn fig14_ablation_tree_bcast_is_logarithmic() {
-    let study = scaling::bcast_scaling_study(
-        "cts1",
-        Some(BcastAlgorithm::BinomialTree),
-        temp_dir("fig14-tree"),
-    )
-    .unwrap();
+    let dir = temp_dir("fig14-tree");
+    let study =
+        scaling::bcast_scaling_study("cts1", Some(BcastAlgorithm::BinomialTree), &dir).unwrap();
     assert_eq!(
         (study.model.i, study.model.j),
         (0.0, 1),
@@ -312,9 +342,8 @@ fn fig14_ablation_tree_bcast_is_logarithmic() {
         study.model
     );
     // and the tree broadcast is far faster at scale than linear
-    let linear =
-        scaling::bcast_scaling_study("cts1", Some(BcastAlgorithm::Linear), temp_dir("fig14-lin"))
-            .unwrap();
+    let dir = temp_dir("fig14-lin");
+    let linear = scaling::bcast_scaling_study("cts1", Some(BcastAlgorithm::Linear), &dir).unwrap();
     let p_max = 3456.0;
     assert!(study.model.predict(p_max) * 10.0 < linear.model.predict(p_max));
 }
@@ -331,8 +360,9 @@ fn fig14_ablation_tree_bcast_is_logarithmic() {
 fn telemetry_traces_the_full_pipeline() {
     let sink = benchpark_telemetry::TelemetrySink::recording();
     let benchpark = Benchpark::new().with_telemetry(sink.clone());
+    let dir = temp_dir("telemetry");
     let mut ws = benchpark
-        .setup_workspace("saxpy", "openmp", "cts1", temp_dir("telemetry"))
+        .setup_workspace("saxpy", "openmp", "cts1", &dir)
         .unwrap();
     ws.run().unwrap();
     ws.analyze(&benchpark).unwrap();
@@ -382,8 +412,9 @@ fn telemetry_traces_the_full_pipeline() {
 #[test]
 fn noop_telemetry_changes_nothing() {
     let benchpark = Benchpark::new(); // default: no-op sink
+    let dir = temp_dir("noop-telemetry");
     let mut ws = benchpark
-        .setup_workspace("saxpy", "openmp", "cts1", temp_dir("noop-telemetry"))
+        .setup_workspace("saxpy", "openmp", "cts1", &dir)
         .unwrap();
     ws.run().unwrap();
     let analysis = ws.analyze(&benchpark).unwrap();

@@ -1,6 +1,7 @@
 //! Tests for the service-life features: procurement studies, regression
 //! tracking, usage metrics, and dashboard plots.
 
+use crate::tests::TempDir;
 use crate::{
     ascii_plot, detect_regression, usage_counts, Benchpark, ProcurementStudy, RunRecord,
     WorkloadSpec,
@@ -8,10 +9,8 @@ use crate::{
 use benchpark_cluster::FaultSpec;
 use benchpark_ramble::ExperimentStatus;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("benchpark-ext-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("benchpark-ext-{tag}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -27,7 +26,8 @@ fn procurement_study_ranks_candidates() {
         WorkloadSpec::uniform("stream", "openmp", "triad_bw", true, 1.0),
     ];
     let study = ProcurementStudy::new(workloads, &["cts1", "ats2", "ats4"]);
-    let report = study.run(temp_dir("procurement")).unwrap();
+    let dir = temp_dir("procurement");
+    let report = study.run(&dir).unwrap();
 
     // every (workload, system) cell filled
     assert_eq!(report.measurements.len(), 6);
@@ -66,7 +66,8 @@ fn procurement_lower_is_better_foms() {
             .with_variant("ats4", "rocm"),
     ];
     let study = ProcurementStudy::new(workloads, &["cts1", "ats4"]);
-    let report = study.run(temp_dir("procurement-lib")).unwrap();
+    let dir = temp_dir("procurement-lib");
+    let report = study.run(&dir).unwrap();
     assert_eq!(report.winner(), Some("ats4"));
     let cts = &report.measurements[&("amg2023".to_string(), "cts1".to_string())];
     let ats4 = &report.measurements[&("amg2023".to_string(), "ats4".to_string())];
@@ -84,7 +85,8 @@ fn procurement_unknown_fom_errors() {
         1.0,
     )];
     let study = ProcurementStudy::new(workloads, &["cts1"]);
-    let err = study.run(temp_dir("procurement-bad")).unwrap_err();
+    let dir = temp_dir("procurement-bad");
+    let err = study.run(&dir).unwrap_err();
     assert!(err.contains("nonexistent_fom"), "{err}");
 }
 
@@ -101,8 +103,9 @@ fn run_stream_epoch(runs: &mut Vec<RunRecord>, degrade: Option<f64>, tag: &str) 
     if let Some(factor) = degrade {
         machine = FaultSpec::DegradeMemoryBandwidth(factor).apply(machine);
     }
+    let dir = temp_dir(tag);
     let mut ws = benchpark
-        .setup_workspace_on("stream", "openmp", "cts1", temp_dir(tag), Some(machine))
+        .setup_workspace_on("stream", "openmp", "cts1", &dir, Some(machine))
         .unwrap();
     ws.run().unwrap();
     let analysis = ws.analyze(&benchpark).unwrap();
@@ -187,8 +190,9 @@ fn usage_counts_rank_benchmarks() {
     run_stream_epoch(&mut runs, None, "usage-1");
     run_stream_epoch(&mut runs, None, "usage-2");
     let benchpark = Benchpark::new();
+    let dir = temp_dir("usage-lulesh");
     let mut ws = benchpark
-        .setup_workspace("lulesh", "openmp", "cts1", temp_dir("usage-lulesh"))
+        .setup_workspace("lulesh", "openmp", "cts1", &dir)
         .unwrap();
     ws.run().unwrap();
     let analysis = ws.analyze(&benchpark).unwrap();

@@ -6,6 +6,7 @@
 //! inside a multi-byte character and arbitrarily deep nesting, each costing
 //! one skipped line.
 
+use crate::tests::TempDir;
 use crate::{
     append_run, load_ledger, BenchReport, RequestTrace, RunRecord, LEDGER_SCHEMA, LEDGER_SCHEMA_MIN,
 };
@@ -239,9 +240,8 @@ mod reference {
     }
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("benchpark-decode-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn temp_dir(tag: &str) -> TempDir {
+    let dir = TempDir::new(&format!("benchpark-decode-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

@@ -2,6 +2,7 @@
 //! edge cases, the units heuristic, the whole-ledger scan, and the
 //! failed-experiment gate.
 
+use crate::tests::TempDir;
 use crate::{
     append_run, detect_regression, gate_failed_experiments, load_ledger, lower_is_better_units,
     scan_regressions, RegressionReport, RequestTrace, RunRecord,
@@ -9,11 +10,13 @@ use crate::{
 use benchpark_ramble::{ExperimentResult, ExperimentStatus, FomValue};
 use benchpark_telemetry::TelemetrySink;
 
-fn temp_ledger(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("benchpark-obs-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+/// A fresh scratch directory and the ledger path inside it; the directory
+/// goes when the guard is dropped.
+fn temp_ledger(tag: &str) -> (TempDir, std::path::PathBuf) {
+    let dir = TempDir::new(&format!("benchpark-obs-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join("ledger.jsonl")
+    let ledger = dir.join("ledger.jsonl");
+    (dir, ledger)
 }
 
 fn result(fom: &str, value: f64, units: &str, status: ExperimentStatus) -> ExperimentResult {
@@ -93,7 +96,7 @@ fn ledger_record_round_trips_through_json() {
 
 #[test]
 fn ledger_append_stamps_consecutive_sequences() {
-    let path = temp_ledger("append");
+    let (_dir, path) = temp_ledger("append");
     for expected in 1..=3u64 {
         let mut rec = record(100.0);
         let got = append_run(&path, &mut rec).expect("append");
@@ -106,7 +109,7 @@ fn ledger_append_stamps_consecutive_sequences() {
 
 #[test]
 fn ledger_load_skips_corrupt_and_unknown_schema_lines() {
-    let path = temp_ledger("corrupt");
+    let (_dir, path) = temp_ledger("corrupt");
     let mut first = record(100.0);
     append_run(&path, &mut first).unwrap();
     // a truncated append and a future schema version land between two
@@ -134,7 +137,7 @@ fn ledger_load_skips_corrupt_and_unknown_schema_lines() {
 
 #[test]
 fn ledger_replay_feeds_regression_scan() {
-    let path = temp_ledger("replay");
+    let (_dir, path) = temp_ledger("replay");
     for value in [100.0, 100.0, 100.0, 50.0] {
         let mut rec = record(value);
         append_run(&path, &mut rec).unwrap();
@@ -360,7 +363,7 @@ fn ledger_schema2_round_trips_fingerprints_and_cached_marker() {
 
 #[test]
 fn ledger_loads_mixed_schema1_and_schema2_lines() {
-    let path = temp_ledger("mixed-schema");
+    let (_dir, path) = temp_ledger("mixed-schema");
     // a schema-1 line (pre-fingerprint era) followed by a schema-2 line
     let schema1 = record(100.0)
         .to_json_line()
@@ -406,7 +409,7 @@ fn ledger_schema3_round_trips_request_trace() {
 
 #[test]
 fn ledger_loads_mixed_schema123_with_absent_stage_timings() {
-    let path = temp_ledger("mixed-schema123");
+    let (_dir, path) = temp_ledger("mixed-schema123");
     // history written by three generations of the tool: schema 1 (no
     // fingerprints), schema 2 (fingerprints, no request trace), schema 3
     // (request trace from the serve daemon)
@@ -469,7 +472,7 @@ fn ledger_rejects_negative_counter_totals_and_sequences() {
     assert!(err.contains("negative"), "{err}");
 
     // and the corrupt line is skipped (not fatal) on load
-    let path = temp_ledger("neg-counter");
+    let (_dir, path) = temp_ledger("neg-counter");
     let bad = good.replacen(
         "\"telemetry\":{\"counters\":{}",
         "\"telemetry\":{\"counters\":{\"retry.attempts\":-3}",
@@ -484,7 +487,7 @@ fn ledger_rejects_negative_counter_totals_and_sequences() {
 fn ledger_append_counts_only_valid_records() {
     // garbage lines must not inflate the next sequence stamp: the stamp
     // counts records load_ledger will actually keep
-    let path = temp_ledger("valid-count");
+    let (_dir, path) = temp_ledger("valid-count");
     let mut first = record(100.0);
     append_run(&path, &mut first).unwrap();
     use std::io::Write as _;
@@ -567,7 +570,7 @@ fn fingerprint_builder_is_deterministic_and_framing_sensitive() {
 #[test]
 fn fingerprint_index_skips_failures_and_splices_and_prefers_latest() {
     use crate::FingerprintIndex;
-    let path = temp_ledger("index");
+    let (_dir, path) = temp_ledger("index");
     let fp = |hex: &str| vec![("exp_1".to_string(), hex.to_string())];
 
     // run 1: success @ fp aaaa… ; run 2: FAILURE @ fp bbbb… ; run 3: a
@@ -607,8 +610,7 @@ fn fingerprint_index_skips_failures_and_splices_and_prefers_latest() {
 fn driver_plan_incremental_skips_hits_and_honors_force() {
     use crate::{Benchpark, FingerprintIndex};
 
-    let base = std::env::temp_dir().join(format!("benchpark-inc-unit-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = TempDir::new("benchpark-inc-unit");
 
     // measure once, persist with fingerprints (what `trace --export` does)
     let benchpark = Benchpark::new();
@@ -683,7 +685,7 @@ fn driver_plan_incremental_skips_hits_and_honors_force() {
 /// skipped line.
 #[test]
 fn append_contains_torn_tail_from_killed_writer() {
-    let path = temp_ledger("torn-tail");
+    let (_dir, path) = temp_ledger("torn-tail");
     let mut first = record(100.0);
     append_run(&path, &mut first).unwrap();
 
@@ -712,8 +714,8 @@ fn append_contains_torn_tail_from_killed_writer() {
 #[test]
 fn sharded_ledger_discovers_and_merges_per_tenant_shards() {
     use crate::{shard_path, ShardedLedger};
-    let root = temp_ledger("shards");
-    let root = root.parent().unwrap().join("ledger");
+    let (dir, _) = temp_ledger("shards");
+    let root = dir.join("ledger");
 
     // append out of discovery order to prove sorting is by name, not mtime
     for (tenant, system, value) in [

@@ -128,27 +128,6 @@ impl PackageDef {
         self
     }
 
-    /// `variant("build_type", default="Release", values=…)`.
-    pub fn variant_single(
-        mut self,
-        name: &str,
-        default: &str,
-        allowed: &[&str],
-        description: &str,
-    ) -> Self {
-        self.variants.push(VariantDef {
-            name: name.to_string(),
-            default: VariantValue::Single(default.to_string()),
-            description: description.to_string(),
-            allowed: if allowed.is_empty() {
-                None
-            } else {
-                Some(allowed.iter().map(|s| s.to_string()).collect())
-            },
-        });
-        self
-    }
-
     /// `depends_on("cmake@3.20:", type="build")`.
     pub fn depends_on(mut self, spec: &str, dep_type: DepType) -> Self {
         self.dependencies.push(DependencyDef {

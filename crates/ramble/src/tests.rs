@@ -8,6 +8,7 @@ use benchpark_concretizer::SiteConfig;
 use benchpark_pkg::{AppRepo, Repo};
 use benchpark_spack::InstallOptions;
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 fn vars(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
     pairs
@@ -406,13 +407,44 @@ fn golden_fig13_template_render() {
 // Workspace workflow (Figure 5)
 // ---------------------------------------------------------------------------
 
-fn temp_workspace(tag: &str) -> Workspace {
-    let dir = std::env::temp_dir().join(format!(
-        "benchpark-ramble-test-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    Workspace::create(&dir).unwrap()
+/// A scratch path `<temp>/<name>-<pid>`, cleared when made and removed
+/// when dropped, also when the test panics. Bind it for as long as the
+/// directory is in use.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A workspace created in a fresh scratch directory, with the directory's
+/// guard.
+fn temp_workspace(tag: &str) -> (TempDir, Workspace) {
+    let dir = TempDir::new(&format!("benchpark-ramble-test-{tag}"));
+    let ws = Workspace::create(&dir).unwrap();
+    (dir, ws)
 }
 
 fn stub_runner(_exp: &crate::ExperimentInstance, script: &str) -> RunOutput {
@@ -439,7 +471,7 @@ fn golden_fig5_workspace_workflow() {
     let site = SiteConfig::example_cts();
 
     // 1. ramble workspace create
-    let mut ws = temp_workspace("fig5");
+    let (_dir, mut ws) = temp_workspace("fig5");
     assert!(ws.root().join("configs").is_dir());
     assert!(ws.root().join("experiments").is_dir());
 
@@ -455,11 +487,16 @@ fn golden_fig5_workspace_workflow() {
     // software was built through Spack
     let env_reports = &report.install_reports["saxpy"];
     assert!(!env_reports.is_empty());
+    let roots: Vec<&str> = report.lockfiles["saxpy"]
+        .roots
+        .iter()
+        .map(|(root, _)| root.as_str())
+        .collect();
     assert_eq!(
-        report.environment_specs["saxpy"],
-        vec![
-            "mvapich2@2.3.7".to_string(),
-            "saxpy@1.0.0 +openmp ^cmake@3.23.1 %gcc@12.1.1".to_string()
+        roots,
+        [
+            "mvapich2@2.3.7",
+            "saxpy@1.0.0 +openmp ^cmake@3.23.1 %gcc@12.1.1"
         ]
     );
     // scripts rendered with srun + SBATCH directives from Figure 12
@@ -506,7 +543,7 @@ fn golden_fig5_workspace_workflow() {
 fn phases_enforced() {
     let repo = Repo::builtin();
     let apps = AppRepo::builtin();
-    let mut ws = temp_workspace("phases");
+    let (_dir, mut ws) = temp_workspace("phases");
     // setup before set_config
     assert!(ws
         .setup(
@@ -535,7 +572,7 @@ fn phases_enforced() {
 fn failed_criterion_reported() {
     let repo = Repo::builtin();
     let apps = AppRepo::builtin();
-    let mut ws = temp_workspace("fail");
+    let (_dir, mut ws) = temp_workspace("fail");
     ws.set_config(FIG10).unwrap();
     ws.merge_variables(FIG12).unwrap();
     ws.setup(
@@ -564,7 +601,7 @@ fn failed_criterion_reported() {
 fn job_error_reported() {
     let repo = Repo::builtin();
     let apps = AppRepo::builtin();
-    let mut ws = temp_workspace("joberr");
+    let (_dir, mut ws) = temp_workspace("joberr");
     ws.set_config(FIG10).unwrap();
     ws.merge_variables(FIG12).unwrap();
     ws.setup(
@@ -591,7 +628,7 @@ fn job_error_reported() {
 fn modifiers_apply() {
     let repo = Repo::builtin();
     let apps = AppRepo::builtin();
-    let mut ws = temp_workspace("mods");
+    let (_dir, mut ws) = temp_workspace("mods");
     ws.set_config(FIG10).unwrap();
     ws.merge_variables(FIG12).unwrap();
     ws.add_modifier(Modifier::Caliper);
@@ -646,7 +683,7 @@ fn ramble_yaml_success_criteria() {
     let repo = Repo::builtin();
     let apps = AppRepo::builtin();
     let run = |stdout: &str| {
-        let mut ws = temp_workspace("yamlcrit");
+        let (_dir, mut ws) = temp_workspace("yamlcrit");
         ws.set_config(yaml).unwrap();
         ws.merge_variables(FIG12).unwrap();
         ws.setup(
@@ -695,7 +732,7 @@ fn ramble_yaml_success_criteria() {
 fn caliper_modifier_writes_profiles() {
     let repo = Repo::builtin();
     let apps = AppRepo::builtin();
-    let mut ws = temp_workspace("cali");
+    let (_dir, mut ws) = temp_workspace("cali");
     ws.set_config(FIG10).unwrap();
     ws.merge_variables(FIG12).unwrap();
     ws.add_modifier(Modifier::Caliper);
@@ -719,7 +756,7 @@ fn caliper_modifier_writes_profiles() {
 fn workspace_archive() {
     let repo = Repo::builtin();
     let apps = AppRepo::builtin();
-    let mut ws = temp_workspace("archive");
+    let (_dir, mut ws) = temp_workspace("archive");
     ws.set_config(FIG10).unwrap();
     ws.merge_variables(FIG12).unwrap();
     ws.setup(
@@ -730,14 +767,13 @@ fn workspace_archive() {
     )
     .unwrap();
     // archive before run is a phase error
-    let dest = std::env::temp_dir().join(format!("benchpark-archive-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dest);
+    let dest = TempDir::new("benchpark-archive");
     assert!(ws.archive(&dest).is_err());
 
     ws.run_with(stub_runner).unwrap();
     let copied = ws.archive(&dest).unwrap();
-    // configs (3: ramble.yaml, variables.yaml, + template absent by default)
-    // plus 2 files per experiment (script + out)
+    // configs (ramble.yaml, variables.yaml) plus 2 files per experiment
+    // (script + out)
     assert!(copied >= 2 + 8 * 2, "copied {copied}");
     assert!(dest.join("MANIFEST").is_file());
     assert!(dest.join("configs/ramble.yaml").is_file());
@@ -752,7 +788,7 @@ fn workspace_archive() {
 fn analyze_fom_table() {
     let repo = Repo::builtin();
     let apps = AppRepo::builtin();
-    let mut ws = temp_workspace("table");
+    let (_dir, mut ws) = temp_workspace("table");
     ws.set_config(FIG10).unwrap();
     ws.merge_variables(FIG12).unwrap();
     ws.setup(

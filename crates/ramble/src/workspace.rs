@@ -12,7 +12,9 @@ use benchpark_concretizer::SiteConfig;
 use benchpark_engine::{Engine, TaskGraph};
 use benchpark_pkg::{AppRepo, Repo};
 use benchpark_resilience::RetryPolicy;
-use benchpark_spack::{BinaryCache, Environment, InstallOptions, InstallReport, Installer};
+use benchpark_spack::{
+    BinaryCache, Environment, InstallOptions, InstallReport, Installer, Lockfile,
+};
 use benchpark_telemetry::TelemetrySink;
 use std::collections::BTreeMap;
 use std::fs;
@@ -34,15 +36,15 @@ pub struct SetupReport {
     pub experiments: Vec<ExperimentInstance>,
     /// One install report per software environment built.
     pub install_reports: BTreeMap<String, Vec<InstallReport>>,
-    /// Abstract spec strings per environment.
-    pub environment_specs: BTreeMap<String, Vec<String>>,
+    /// The concretizer's lockfile per environment: each abstract root (a
+    /// repeated one once) with the concrete DAG that was built for it.
+    pub lockfiles: BTreeMap<String, Lockfile>,
 }
 
 /// A self-contained experiment workspace (Figure 5).
 pub struct Workspace {
     root: PathBuf,
     config: Option<RambleConfig>,
-    template: String,
     modifiers: Vec<Modifier>,
     experiments: Vec<ExperimentInstance>,
     scripts: BTreeMap<String, String>,
@@ -64,7 +66,6 @@ impl Workspace {
         Ok(Workspace {
             root,
             config: None,
-            template: DEFAULT_TEMPLATE.to_string(),
             modifiers: Vec::new(),
             experiments: Vec::new(),
             scripts: BTreeMap::new(),
@@ -121,13 +122,6 @@ impl Workspace {
             .as_mut()
             .ok_or_else(|| RambleError::Phase("set_config before merge_spack".to_string()))?
             .merge_spack_yaml(spack_yaml)
-    }
-
-    /// Replaces the batch template (`execute_experiment.tpl`).
-    pub fn set_template(&mut self, template: &str) -> Result<(), RambleError> {
-        fs::write(self.root.join("configs/execute_experiment.tpl"), template)?;
-        self.template = template.to_string();
-        Ok(())
     }
 
     /// Registers a modifier applied to every experiment at setup.
@@ -193,16 +187,14 @@ impl Workspace {
             installer = installer.with_retry_policy(policy.clone());
         }
         let mut install_reports = BTreeMap::new();
-        let mut environment_specs = BTreeMap::new();
+        let mut lockfiles = BTreeMap::new();
         for (env_name, env_def) in &config.environments {
             let _env_span = self.telemetry.span("environment");
             let mut env = Environment::create(env_name);
-            let mut specs = Vec::new();
             for pkg_ref in &env_def.packages {
                 let spec = config.resolved_spec(pkg_ref)?;
                 env.add(&spec)
                     .map_err(|e| RambleError::Software(format!("bad spec `{spec}`: {e}")))?;
-                specs.push(spec);
             }
             env.concretize_instrumented(repo, site, self.telemetry.clone())
                 .map_err(|e| RambleError::Software(format!("environment `{env_name}`: {e}")))?;
@@ -210,7 +202,7 @@ impl Workspace {
                 .install(&installer, install_opts)
                 .map_err(|e| RambleError::Software(e.to_string()))?;
             install_reports.insert(env_name.clone(), reports);
-            environment_specs.insert(env_name.clone(), specs);
+            lockfiles.insert(env_name.clone(), env.lockfile.expect("concretized above"));
         }
 
         // ---- experiment generation + script rendering ----------------------
@@ -248,7 +240,7 @@ impl Workspace {
         Ok(SetupReport {
             experiments: self.experiments.clone(),
             install_reports,
-            environment_specs,
+            lockfiles,
         })
     }
 
@@ -326,7 +318,7 @@ impl Workspace {
         }
         // expand the batch directive variables themselves
         let expanded = crate::expand::expand_all(&exp.variables)?;
-        let script = render_template(&self.template, &expanded)?;
+        let script = render_template(DEFAULT_TEMPLATE, &expanded)?;
         let script_path = run_dir.join("execute_experiment");
         fs::write(&script_path, &script)?;
         self.scripts.insert(exp.name.clone(), script);
@@ -472,11 +464,6 @@ impl Workspace {
         Ok(())
     }
 
-    /// Output of one experiment (after `run_with`).
-    pub fn run_output(&self, experiment: &str) -> Option<&RunOutput> {
-        self.run_outputs.get(experiment)
-    }
-
     /// `ramble workspace archive`: copies everything needed to reproduce and
     /// audit the experiments — configs, rendered scripts, and captured
     /// outputs — into `dest`, with a MANIFEST index. This is how results
@@ -489,12 +476,7 @@ impl Workspace {
         fs::create_dir_all(dest.join("configs"))?;
         let mut manifest = String::from("# ramble workspace archive\nfiles:\n");
         let mut copied = 0usize;
-        for file in [
-            "ramble.yaml",
-            "variables.yaml",
-            "spack.yaml",
-            "execute_experiment.tpl",
-        ] {
+        for file in ["ramble.yaml", "variables.yaml", "spack.yaml"] {
             let src = self.root.join("configs").join(file);
             if src.is_file() {
                 fs::copy(&src, dest.join("configs").join(file))?;

@@ -83,11 +83,6 @@ impl BinaryCache {
         *self.faults.write() = Some(injector);
     }
 
-    /// Removes any fault injector.
-    pub fn clear_faults(&self) {
-        *self.faults.write() = None;
-    }
-
     /// Looks up a build by hash, counting hit/miss.
     pub fn fetch(&self, hash: &str) -> Option<CacheEntry> {
         let result = self.entries.read().get(hash).cloned();

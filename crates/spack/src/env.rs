@@ -203,19 +203,6 @@ impl Environment {
         }
     }
 
-    /// Creates an environment from an existing `spack.yaml` manifest.
-    pub fn from_manifest(
-        name: &str,
-        manifest_yaml: &str,
-    ) -> Result<Environment, benchpark_yamlite::ParseError> {
-        Ok(Environment {
-            name: name.to_string(),
-            manifest: Manifest::from_yaml(manifest_yaml)?,
-            config: ConfigScopes::new(),
-            lockfile: None,
-        })
-    }
-
     /// `spack add <spec>` — appends an abstract root and invalidates the lock.
     pub fn add(&mut self, spec: &str) -> Result<(), benchpark_spec::SpecError> {
         spec.parse::<Spec>()?; // validate

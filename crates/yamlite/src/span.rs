@@ -234,9 +234,4 @@ impl SpannedValue {
             }
         }
     }
-
-    /// Strips the spans without consuming the tree.
-    pub fn to_value(&self) -> Value {
-        self.clone().into_value()
-    }
 }

@@ -267,12 +267,35 @@ pub fn cmd_submit(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn temp_root(tag: &str) -> PathBuf {
+    /// `<temp>/benchpark-spool-<tag>-<pid>`, created empty and removed
+    /// when dropped, also when the test panics.
+    struct TempRoot(PathBuf);
+
+    impl std::ops::Deref for TempRoot {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempRoot {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempRoot {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_root(tag: &str) -> TempRoot {
         let dir =
             std::env::temp_dir().join(format!("benchpark-spool-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TempRoot(dir)
     }
 
     fn submit(root: &Path, request: &str) {

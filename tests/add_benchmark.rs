@@ -2,10 +2,13 @@
 //! benchmark runs through the unchanged workflow, and the same contribution
 //! flows through the Figure 6 CI loop.
 
+mod common;
+
 use benchpark::cluster::{AppOutput, RunContext};
 use benchpark::core::Benchpark;
 use benchpark::pkg::{ApplicationDef, DepType, PackageDef, SuccessMode};
 use benchpark::ramble::ExperimentStatus;
+use common::TempDir;
 
 fn spin_model(_ctx: &RunContext<'_>, args: &[String]) -> AppOutput {
     let reps: u64 = args
@@ -72,8 +75,7 @@ fn contributed_benchpark() -> Benchpark {
 #[test]
 fn contributed_benchmark_runs_end_to_end() {
     let benchpark = contributed_benchpark();
-    let dir = std::env::temp_dir().join(format!("benchpark-it-add-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("benchpark-it-add");
     let mut ws = benchpark
         .setup_workspace_from_template(
             "spin",
@@ -107,8 +109,7 @@ fn contributed_benchmark_without_model_fails_visibly() {
     // forgetting the performance model (step 4) is a visible job failure,
     // not a silent success
     let benchpark = contributed_benchpark();
-    let dir = std::env::temp_dir().join(format!("benchpark-it-nomodel-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("benchpark-it-nomodel");
     let mut ws = benchpark
         .setup_workspace_from_template("spin", "basic", TEMPLATE, "cts1", &dir, None, &[])
         .unwrap();
@@ -135,8 +136,7 @@ fn contributed_package_must_concretize() {
             .executable("p", "spin", false)
             .workload("basic", &["p"]),
     );
-    let dir = std::env::temp_dir().join(format!("benchpark-it-badpkg-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("benchpark-it-badpkg");
     let err = match benchpark.setup_workspace_from_template(
         "spin",
         "basic",
@@ -150,4 +150,28 @@ fn contributed_package_must_concretize() {
         Ok(_) => panic!("broken recipe must not set up"),
     };
     assert!(err.contains("does-not-exist"), "{err}");
+}
+
+#[test]
+fn application_outside_every_environment_is_refused_at_setup() {
+    // Ramble builds software only through environments (§3.2.3): an
+    // application whose package no environment lists has no concrete DAG
+    // to install on the cluster or to fingerprint
+    let benchpark = contributed_benchpark();
+    let template = TEMPLATE.replace("packages: [spin]", "packages: [default-mpi]");
+    let dir = TempDir::new("benchpark-it-noenv");
+    let err = match benchpark.setup_workspace_from_template(
+        "spin",
+        "basic",
+        &template,
+        "cts1",
+        &dir,
+        None,
+        &[("spin", spin_model)],
+    ) {
+        Err(e) => e,
+        Ok(_) => panic!("an application outside every environment must not set up"),
+    };
+    assert!(err.contains("application `spin`"), "{err}");
+    assert!(err.contains("spin@0.1"), "{err}");
 }

@@ -3,15 +3,16 @@
 //! `benchpark regress --bench` CLI surface the CI perf smoke step drives
 //! (`docs/perf/methodology.md`).
 
+mod common;
+
 use benchpark::bench::{run_suite, suite_names, Scale, SuiteConfig};
 use benchpark::core::BenchReport;
-use std::path::{Path, PathBuf};
+use common::TempDir;
+use std::path::Path;
 use std::process::Command;
 
-fn temp_base(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("benchpark-bench-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn temp_base(tag: &str) -> TempDir {
+    let dir = TempDir::new(&format!("benchpark-bench-e2e-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -199,7 +200,6 @@ fn cli_bench_writes_parseable_report() {
     assert_eq!(report.results.len(), 1);
     assert_eq!(report.results[0].name, "concretize.single");
     assert_eq!(report.env.profile, "debug");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Bad flags fail loudly instead of silently measuring the wrong thing.
@@ -279,7 +279,6 @@ fn cli_regress_bench_calibrates_machine_speed() {
         "no factor line: {stdout}"
     );
     assert!(stderr.contains("2 of 2"), "got: {stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `regress --bench` over a crafted trajectory: steady is ok (exit 0), a
@@ -324,5 +323,4 @@ fn cli_regress_bench_gates_the_trajectory() {
         &steady,
     ]);
     assert!(!ok, "2% gate must flag a 3% slip: {stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,15 +1,18 @@
 //! Integration: the §4 demonstration matrix, widened — every shipped
 //! experiment template on every system that supports it.
 
+mod common;
+
 use benchpark::core::{
     available_experiments, render_dashboard, usage_counts, Benchpark, RunRecord, SystemProfile,
 };
 use benchpark::ramble::ExperimentStatus;
+use benchpark::spack::Action;
+use benchpark::telemetry::TelemetrySink;
+use common::TempDir;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("benchpark-dm-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("benchpark-dm-{tag}"))
 }
 
 /// Which systems each experiment runs on (matching the programming model
@@ -32,8 +35,9 @@ fn every_experiment_runs_on_every_supporting_system() {
     for (benchmark, variant) in available_experiments() {
         for system in systems_for(benchmark, variant) {
             let tag = format!("{benchmark}-{variant}-{system}");
+            let dir = temp_dir(&tag);
             let mut ws = benchpark
-                .setup_workspace(benchmark, variant, system, temp_dir(&tag))
+                .setup_workspace(benchmark, variant, system, &dir)
                 .unwrap_or_else(|e| panic!("{tag}: setup failed: {e}"));
             ws.run()
                 .unwrap_or_else(|e| panic!("{tag}: run failed: {e}"));
@@ -82,6 +86,45 @@ fn every_experiment_runs_on_every_supporting_system() {
 }
 
 #[test]
+fn each_cell_solves_once_per_environment_and_builds_nothing_twice() {
+    // the environment's lockfile is the one concrete DAG per application:
+    // set-up solves each environment once, and the cluster-side install
+    // fetches what the environment built instead of building another DAG
+    let mut cells = 0;
+    for (benchmark, variant) in available_experiments() {
+        for system in systems_for(benchmark, variant) {
+            let tag = format!("{benchmark}-{variant}-{system}");
+            let sink = TelemetrySink::recording();
+            let dir = temp_dir(&format!("dag-{tag}"));
+            let ws = Benchpark::new()
+                .with_telemetry(sink.clone())
+                .setup_workspace(benchmark, variant, system, &dir)
+                .unwrap_or_else(|e| panic!("{tag}: setup failed: {e}"));
+            let report = sink.report().expect("recording sink");
+            assert_eq!(
+                report.counter("concretizer.solves"),
+                ws.setup_report.lockfiles.len() as u64,
+                "{tag}: one solve per environment"
+            );
+            let builds: usize = ws
+                .setup_report
+                .install_reports
+                .values()
+                .flatten()
+                .map(|install| install.count(Action::Build))
+                .sum();
+            assert_eq!(
+                report.counter("cache.miss"),
+                builds as u64,
+                "{tag}: the cluster built something the environment did not"
+            );
+            cells += 1;
+        }
+    }
+    assert_eq!(cells, 15, "the demo matrix has 15 cells");
+}
+
+#[test]
 fn per_system_target_flows_into_manifests() {
     // the same benchmark on different systems uses different compilers and
     // MPIs — visible in the stored manifests (the Table 1 orthogonalization)
@@ -93,13 +136,9 @@ fn per_system_target_flows_into_manifests() {
             "ats4" => "rocm",
             _ => "openmp",
         };
+        let dir = temp_dir(&format!("manifest-{system}"));
         let ws = benchpark
-            .setup_workspace(
-                "saxpy",
-                variant,
-                system,
-                temp_dir(&format!("manifest-{system}")),
-            )
+            .setup_workspace("saxpy", variant, system, &dir)
             .unwrap();
         manifests.push(ws.manifest());
     }

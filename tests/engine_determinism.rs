@@ -7,7 +7,7 @@
 //! never results.
 
 use benchpark::cluster::{FaultPlan, JobState, TransientFault};
-use benchpark::core::{Benchpark, FleetExperiment, SystemProfile};
+use benchpark::core::{Benchpark, SystemProfile};
 use benchpark::telemetry::TelemetrySink;
 
 /// Seeded fault plan matching the resilience suite: every binary-cache
@@ -100,52 +100,4 @@ fn faulted_pipeline_outcomes_identical_for_1_and_8_workers() {
         "FOMs, statuses, and job outcomes must be byte-identical for any worker count"
     );
     let _ = std::fs::remove_dir_all(&base);
-}
-
-#[test]
-fn fleet_foms_identical_for_1_and_8_workers() {
-    let base = std::env::temp_dir().join("benchpark-itest-engine-fleet");
-    let fleet: Vec<FleetExperiment> = [
-        ("amg2023", "openmp", "cts1"),
-        ("saxpy", "openmp", "cloud-c5"),
-    ]
-    .iter()
-    .map(|(benchmark, variant, system)| FleetExperiment {
-        benchmark: benchmark.to_string(),
-        variant: variant.to_string(),
-        system: system.to_string(),
-        workspace_dir: base.join(format!("{benchmark}-{system}")),
-    })
-    .collect();
-
-    let mut runs = Vec::new();
-    for jobs in [1usize, 8] {
-        let _ = std::fs::remove_dir_all(&base);
-        let benchpark = Benchpark::new().with_jobs(jobs);
-        let outcomes = benchpark.run_fleet(&fleet).expect("fleet succeeds");
-        runs.push(
-            outcomes
-                .iter()
-                .flat_map(|o| {
-                    o.analysis.results.iter().flat_map(move |r| {
-                        r.foms.iter().map(move |f| {
-                            (
-                                format!("{}/{}@{}", o.benchmark, o.variant, o.system),
-                                r.experiment.clone(),
-                                f.name.clone(),
-                                f.value.clone(),
-                            )
-                        })
-                    })
-                })
-                .collect::<Vec<_>>(),
-        );
-    }
-    let _ = std::fs::remove_dir_all(&base);
-
-    assert!(!runs[0].is_empty(), "fleet runs should extract FOMs");
-    assert_eq!(
-        runs[0], runs[1],
-        "fleet FOMs must not depend on the engine worker count"
-    );
 }

@@ -2,14 +2,15 @@
 //! files are the same ones the driver consumes, so the on-disk repo is
 //! functionally complete.
 
+mod common;
+
 use benchpark::core::{available_experiments, render_tree, write_skeleton, SystemProfile};
 use benchpark::ramble::RambleConfig;
 use benchpark::spack::ConfigScopes;
+use common::TempDir;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("benchpark-tree-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("benchpark-tree-{tag}"))
 }
 
 #[test]

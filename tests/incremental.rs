@@ -3,12 +3,14 @@
 //! from the run ledger instead of re-executing, across process lifetimes
 //! and workspace directories, with any input change forcing a re-run.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::TempDir;
+use std::path::Path;
 use std::process::Command;
 
-fn temp_base(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("benchpark-inc-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn temp_base(tag: &str) -> TempDir {
+    let dir = TempDir::new(&format!("benchpark-inc-e2e-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

@@ -3,14 +3,16 @@
 //! `benchpark history` / `benchpark regress` replaying it, and the
 //! byte-identity of canonical exports across `--jobs` counts.
 
+mod common;
+
 use benchpark::core::RunRecord;
 use benchpark::yamlite::{parse_json, Value};
-use std::path::{Path, PathBuf};
+use common::TempDir;
+use std::path::Path;
 use std::process::Command;
 
-fn temp_base(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("benchpark-obs-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn temp_base(tag: &str) -> TempDir {
+    let dir = TempDir::new(&format!("benchpark-obs-e2e-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

@@ -5,9 +5,12 @@
 //! the same requests run serially through the one-shot driver path, and the
 //! whole output tree byte-identical at `--jobs 1` and `--jobs 8`.
 
+mod common;
+
 use benchpark::core::{Benchpark, RunSpec};
 use benchpark::serve::fom_transcript;
 use benchpark::yamlite::parse_json;
+use common::TempDir;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -16,10 +19,8 @@ const TENANTS: [&str; 4] = ["alice", "bob", "carol", "dave"];
 const SYSTEMS: [&str; 2] = ["cts1", "ats2"];
 const EXPERIMENTS: [(&str, &str); 2] = [("saxpy", "openmp"), ("stream", "openmp")];
 
-fn temp_base(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("benchpark-serve-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn temp_base(tag: &str) -> TempDir {
+    let dir = TempDir::new(&format!("benchpark-serve-e2e-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

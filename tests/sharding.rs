@@ -7,19 +7,20 @@
 //! same requests through the in-process serve daemon at `--jobs 1` and
 //! `--jobs 8` and asserts the merged views agree.
 
+mod common;
+
 use benchpark::bench::synth_ledger_lines;
 use benchpark::core::{
     append_run, load_ledger, scan_regressions, shard_path, RunRecord, ShardedLedger,
 };
 use benchpark::telemetry::TelemetrySink;
+use common::TempDir;
 use proptest::prelude::*;
-use std::path::PathBuf;
 
 const TENANTS: [&str; 3] = ["alice", "bob", "carol"];
 
-fn temp_base(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("benchpark-shard-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn temp_base(tag: &str) -> TempDir {
+    let dir = TempDir::new(&format!("benchpark-shard-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -127,8 +128,6 @@ proptest! {
             history_digest(&reference.runs)
         );
         prop_assert_eq!(regress_digest(&sharded.merged), regress_digest(&reference));
-
-        let _ = std::fs::remove_dir_all(&base);
     }
 }
 

@@ -1,6 +1,8 @@
 //! Integration: the full Figure 1c workflow across every crate — driver →
 //! spack → ramble → cluster → analysis → run ledger → perf modeling.
 
+mod common;
+
 use benchpark::cluster::FaultSpec;
 use benchpark::core::{
     append_run, fom_series, render_dashboard, scan_regressions, shard_path, usage_counts,
@@ -9,18 +11,18 @@ use benchpark::core::{
 use benchpark::perf::extrap;
 use benchpark::ramble::ExperimentStatus;
 use benchpark::telemetry::TelemetrySink;
+use common::TempDir;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("benchpark-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("benchpark-it-{tag}"))
 }
 
 #[test]
 fn full_workflow_saxpy_on_cts1() {
     let benchpark = Benchpark::new();
+    let dir = temp_dir("wf");
     let mut ws = benchpark
-        .setup_workspace("saxpy", "openmp", "cts1", temp_dir("wf"))
+        .setup_workspace("saxpy", "openmp", "cts1", &dir)
         .unwrap();
 
     // Figure 10's 8 experiments, rendered as Slurm scripts
@@ -84,8 +86,9 @@ fn stream_thread_scaling_models_bandwidth_saturation() {
     // bandwidth rises with threads and saturates — Extra-P should NOT pick a
     // superlinear model.
     let benchpark = Benchpark::new();
+    let dir = temp_dir("stream");
     let mut ws = benchpark
-        .setup_workspace("stream", "openmp", "cts1", temp_dir("stream"))
+        .setup_workspace("stream", "openmp", "cts1", &dir)
         .unwrap();
     ws.run().unwrap();
     let analysis = ws.analyze(&benchpark).unwrap();
@@ -113,8 +116,9 @@ fn workspace_is_reusable_for_reanalysis() {
     // analyze is a pure function of the captured outputs: running it twice
     // gives identical results (replicability, §3.2).
     let benchpark = Benchpark::new();
+    let dir = temp_dir("reanalyze");
     let mut ws = benchpark
-        .setup_workspace("lulesh", "openmp", "cts1", temp_dir("reanalyze"))
+        .setup_workspace("lulesh", "openmp", "cts1", &dir)
         .unwrap();
     ws.run().unwrap();
     let a = ws.analyze(&benchpark).unwrap();
@@ -131,8 +135,9 @@ fn deterministic_end_to_end() {
     // the whole pipeline is reproducible: same FOM values on a fresh run
     let run = |tag: &str| {
         let benchpark = Benchpark::new();
+        let dir = temp_dir(tag);
         let mut ws = benchpark
-            .setup_workspace("amg2023", "openmp", "cts1", temp_dir(tag))
+            .setup_workspace("amg2023", "openmp", "cts1", &dir)
             .unwrap();
         ws.run().unwrap();
         let analysis = ws.analyze(&benchpark).unwrap();
@@ -233,5 +238,4 @@ fn a_shared_ledger_shard_answers_like_the_runs_in_process() {
     assert_eq!(usage_counts(&runs), [("stream".to_string(), 16)]);
     assert_eq!(usage_counts(&runs), usage_counts(loaded));
     assert_eq!(render_dashboard(&runs), render_dashboard(loaded));
-    let _ = std::fs::remove_dir_all(&dir);
 }
